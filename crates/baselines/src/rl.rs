@@ -400,7 +400,10 @@ impl<R: Rng> SearchDriver for RlDriver<R> {
     }
 }
 
-const MAGIC: &[u8; 8] = b"CVDRRL01";
+/// Version 2 stores the target network as values only: it is run
+/// forward and replaced by a clone of the online store at each sync, so
+/// its Adam moments and step count are never read.
+const MAGIC: &[u8; 8] = b"CVDRRL02";
 
 impl Checkpointable for RlDriver<StdRng> {
     fn save(&self) -> Vec<u8> {
@@ -420,7 +423,7 @@ impl Checkpointable for RlDriver<StdRng> {
         enc.usize(self.budget);
         enc.usize(self.used);
         enc.bytes(&self.store.to_bytes());
-        enc.bytes(&self.target_store.to_bytes());
+        enc.bytes(&self.target_store.values_to_bytes());
         enc.usize(self.replay.len());
         for t in &self.replay {
             enc.f32s(&t.state);
@@ -463,8 +466,8 @@ impl Checkpointable for RlDriver<StdRng> {
         let used = dec.usize()?;
         let store =
             ParamStore::from_bytes(dec.bytes()?).map_err(|_| CkptError::Invalid("param store"))?;
-        let target_store =
-            ParamStore::from_bytes(dec.bytes()?).map_err(|_| CkptError::Invalid("target store"))?;
+        let target_store = ParamStore::from_values_bytes(dec.bytes()?)
+            .map_err(|_| CkptError::Invalid("target store"))?;
         let n = dec.seq_len()?;
         let mut replay = Vec::with_capacity(n.max(config.replay_capacity));
         for _ in 0..n {
@@ -502,7 +505,11 @@ impl Checkpointable for RlDriver<StdRng> {
             actions,
             &mut StdRng::seed_from_u64(0),
         );
-        if scratch.len() != store.len() {
+        let layout = |s: &ParamStore| -> Vec<Vec<usize>> {
+            s.zero_grads().iter().map(|t| t.shape().to_vec()).collect()
+        };
+        let want = layout(&scratch);
+        if layout(&store) != want || layout(&target_store) != want {
             return Err(CkptError::Invalid("param store layout"));
         }
         Ok(RlDriver {
@@ -557,6 +564,39 @@ mod tests {
         assert!(ev.counter().count() <= 80);
         assert!(out.best_cost.is_finite());
         assert!(out.best_grid.is_some());
+    }
+
+    #[test]
+    fn resumed_driver_saves_the_same_bytes_as_an_uninterrupted_one() {
+        // The target network is checkpointed as values only; frequent
+        // syncs put some before and some after the resume point, and
+        // every later snapshot must still match the uninterrupted run.
+        let config = RlConfig {
+            hidden: 16,
+            episode_len: 6,
+            batch_size: 4,
+            train_interval: 1,
+            target_sync: 3,
+            ..RlConfig::default()
+        };
+        let (ev_a, ev_b) = (evaluator(8), evaluator(8));
+        let mut a = RlDriver::new(8, config, 60, 7);
+        for _ in 0..25 {
+            a.step(&ev_a);
+        }
+        assert!(a.train_steps >= config.target_sync, "no sync before resume");
+        let mut b = RlDriver::load(&a.save()).expect("load");
+        ev_b.restore_state(&ev_a.state());
+        assert_eq!(b.save(), a.save());
+        loop {
+            let (sa, sb) = (a.step(&ev_a), b.step(&ev_b));
+            assert_eq!(sa, sb);
+            assert_eq!(a.save(), b.save(), "snapshots diverged after resume");
+            if sa == StepStatus::Done {
+                break;
+            }
+        }
+        assert!(a.train_steps >= 2 * config.target_sync + 25 / 2);
     }
 
     #[test]

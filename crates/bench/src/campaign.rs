@@ -10,16 +10,17 @@
 //! Each task runs one `MethodDriver` through the shared
 //! `crate::persist::RunningTask` step engine — the same engine the
 //! `campaignd` service (DESIGN.md §10) interleaves across jobs. Every
-//! `checkpoint_every` simulations the engine atomically persists
+//! `checkpoint_every` simulations the engine durably records
 //!
-//! * `<id>.ckpt` — driver state + evaluator snapshot + archive +
-//!   telemetry lines emitted so far,
+//! * a *checkpoint* record in the task journal (`<id>.journal`, below)
+//!   — driver state + evaluator snapshot + archive + telemetry lines
+//!   emitted so far, the task's only resume snapshot,
 //! * `<id>.jsonl` — the telemetry stream up to the checkpoint.
 //!
 //! On completion the engine writes `<id>.done` (outcome + archive
-//! bytes), finalizes the JSONL, and removes the checkpoint. A re-run of
-//! the same campaign directory skips `.done` tasks, resumes `.ckpt`
-//! tasks from their snapshot, and starts the rest fresh — so after a
+//! bytes) and finalizes the JSONL. A re-run of the same campaign
+//! directory skips `.done` tasks, resumes the others from their
+//! journal's latest checkpoint, and starts the rest fresh — so after a
 //! kill (or a deterministic `halt_after` stop) the final outputs
 //! byte-match an uninterrupted run; the CI campaign-smoke job enforces
 //! exactly that.
@@ -31,10 +32,13 @@
 //! checksummed [`cv_journal::Journal`] (`<id>.journal`): *started*,
 //! *simulated-N* + *checkpointed* at every checkpoint, *completed* (the
 //! final result and telemetry bytes) at the end, when the segment is
-//! atomically rotated down to that single record. Recovery replays the
+//! atomically rotated down to that single record. A checkpoint that
+//! would push the segment past its cap replaces the segment instead of
+//! being appended. Recovery replays the
 //! journal's durable prefix: a torn tail is truncated, a corrupt or
-//! truncated `.done`/`.ckpt` is logged and treated as absent (never a
-//! panic), and a crash that landed after the *completed* record but
+//! truncated `.done` is logged and treated as absent (never a
+//! panic), a stray `.ckpt` left by an older version is removed unread,
+//! and a crash that landed after the *completed* record but
 //! before the result files heals the files from the journal — so every
 //! injected crash point resumes to byte-identical outputs. The
 //! fault-injection proptests in `tests/crash_recovery.rs` and the CI

@@ -8,11 +8,19 @@
 //! * `<id>.journal` — append-only [`cv_journal::Journal`] of task
 //!   events (*started*, *progress* + *checkpoint* pairs, *completed*),
 //!   written **before** any derived file so replaying its durable
-//!   prefix always reconstructs (or heals) the rest;
-//! * `<id>.ckpt`  — the latest full resume snapshot (driver +
-//!   evaluator + archive + telemetry);
+//!   prefix always reconstructs (or heals) the rest. Its latest
+//!   *checkpoint* record is the task's only resume snapshot (driver +
+//!   evaluator + archive + telemetry), CRC-checked like every record;
 //! * `<id>.jsonl` — the per-round telemetry stream;
 //! * `<id>.done`  — the final outcome + frontier archive.
+//!
+//! Each snapshot is written once: a checkpoint that fits under the
+//! segment cap is appended, and one that would push the segment past it
+//! *replaces* the segment (an atomic [`Journal::rotate`] down to the new
+//! pair) instead of being appended first and compacted after. Older
+//! directories may still hold a standalone `<id>.ckpt` from before the
+//! journal carried the only copy; it is never read, and opening the
+//! task removes it.
 //!
 //! [`RunningTask`] is the single step engine both callers drive: the
 //! campaign loops it to completion inside one pool unit, while the
@@ -49,10 +57,11 @@ const CKPT_MAGIC: &[u8; 8] = b"CVCPCK01";
 // Task event journal (Contract 10)
 // ---------------------------------------------------------------------
 
-/// One durable event in a task's journal. Payloads ride inside
-/// checksummed journal frames, so decoding sees only intact records.
+/// One durable event in a task's journal, borrowing its byte fields.
+/// Payloads ride inside checksummed journal frames, so decoding sees
+/// only intact records.
 #[derive(Debug, Clone, PartialEq)]
-enum TaskEvent {
+enum TaskEvent<'a> {
     /// The task began a fresh run.
     Started,
     /// The task has consumed `sims` simulations (stamped alongside each
@@ -61,17 +70,17 @@ enum TaskEvent {
         /// Simulations consumed so far.
         sims: u64,
     },
-    /// A full resume snapshot (the same bytes as the `.ckpt` file).
+    /// A full resume snapshot.
     Checkpoint {
         /// Encoded [`encode_ckpt`] bytes.
-        bytes: Vec<u8>,
+        bytes: &'a [u8],
     },
     /// The task finished: the final result and telemetry, byte-exact.
     Completed {
         /// Encoded [`encode_done`] bytes.
-        done: Vec<u8>,
+        done: &'a [u8],
         /// The final `.jsonl` content.
-        jsonl: Vec<u8>,
+        jsonl: &'a [u8],
     },
 }
 
@@ -80,7 +89,7 @@ const EV_PROGRESS: u8 = 2;
 const EV_CHECKPOINT: u8 = 3;
 const EV_COMPLETED: u8 = 4;
 
-impl TaskEvent {
+impl<'a> TaskEvent<'a> {
     fn encode(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         match self {
@@ -102,17 +111,17 @@ impl TaskEvent {
         enc.finish()
     }
 
-    fn decode(payload: &[u8]) -> Result<TaskEvent, CkptError> {
+    fn decode(payload: &'a [u8]) -> Result<TaskEvent<'a>, CkptError> {
         let mut dec = Dec::new(payload);
         let ev = match dec.u8()? {
             EV_STARTED => TaskEvent::Started,
             EV_PROGRESS => TaskEvent::Progress { sims: dec.u64()? },
             EV_CHECKPOINT => TaskEvent::Checkpoint {
-                bytes: dec.bytes()?.to_vec(),
+                bytes: dec.bytes()?,
             },
             EV_COMPLETED => TaskEvent::Completed {
-                done: dec.bytes()?.to_vec(),
-                jsonl: dec.bytes()?.to_vec(),
+                done: dec.bytes()?,
+                jsonl: dec.bytes()?,
             },
             _ => return Err(CkptError::Invalid("task event tag")),
         };
@@ -123,31 +132,31 @@ impl TaskEvent {
 
 /// What a journal's durable prefix reconstructs: exactly the state the
 /// orchestrator held at the last durable record.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ReplayedState {
     /// The latest durable checkpoint snapshot, if any.
     checkpoint: Option<Vec<u8>>,
     /// The final result + telemetry, if the task completed durably.
     completed: Option<(Vec<u8>, Vec<u8>)>,
-    /// The highest durable simulation count.
-    sims: u64,
 }
 
 /// Replays decoded journal records into orchestrator state. A record
 /// that fails to decode (a version change — CRCs already screened out
 /// corruption) ends the trusted prefix, mirroring the torn-tail rule.
 fn replay(records: &[Vec<u8>]) -> ReplayedState {
-    let mut state = ReplayedState::default();
+    let (mut checkpoint, mut completed) = (None, None);
     for record in records {
         match TaskEvent::decode(record) {
-            Ok(TaskEvent::Started) => {}
-            Ok(TaskEvent::Progress { sims }) => state.sims = state.sims.max(sims),
-            Ok(TaskEvent::Checkpoint { bytes }) => state.checkpoint = Some(bytes),
-            Ok(TaskEvent::Completed { done, jsonl }) => state.completed = Some((done, jsonl)),
+            Ok(TaskEvent::Started | TaskEvent::Progress { .. }) => {}
+            Ok(TaskEvent::Checkpoint { bytes }) => checkpoint = Some(bytes),
+            Ok(TaskEvent::Completed { done, jsonl }) => completed = Some((done, jsonl)),
             Err(_) => break,
         }
     }
-    state
+    ReplayedState {
+        checkpoint: checkpoint.map(<[u8]>::to_vec),
+        completed: completed.map(|(done, jsonl)| (done.to_vec(), jsonl.to_vec())),
+    }
 }
 
 /// A task's open journal plus the rotation policy.
@@ -184,23 +193,21 @@ impl TaskJournal {
             .append(&payload)
     }
 
-    /// Appends the per-checkpoint event pair (one durable write +
-    /// fsync) and rotates the segment down to it when the cap is
-    /// exceeded.
+    /// Writes the per-checkpoint event pair exactly once: appended (one
+    /// durable write + fsync) while the segment stays within the cap,
+    /// otherwise as the whole of a rotated segment — compaction
+    /// replaces instead of appending first. Either way a crash leaves
+    /// the previous durable checkpoint or the new one.
     fn checkpoint(&mut self, sims: u64, bytes: &[u8]) -> io::Result<()> {
-        let payloads = [
-            TaskEvent::Progress { sims }.encode(),
-            TaskEvent::Checkpoint {
-                bytes: bytes.to_vec(),
-            }
-            .encode(),
-        ];
-        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        let progress = TaskEvent::Progress { sims }.encode();
+        let checkpoint = TaskEvent::Checkpoint { bytes }.encode();
+        let refs = [progress.as_slice(), checkpoint.as_slice()];
         let journal = self.journal.as_mut().expect("journal open");
-        journal.append_all(&refs)?;
-        if journal.len() > self.max_bytes {
+        if journal.len() + cv_journal::framed_len(&refs) > self.max_bytes {
             let rotated = self.journal.take().expect("journal open").rotate(&refs)?;
             self.journal = Some(rotated);
+        } else {
+            journal.append_all(&refs)?;
         }
         Ok(())
     }
@@ -208,11 +215,7 @@ impl TaskJournal {
     /// Rotates the segment down to the single *completed* record — the
     /// durable statement that this task's results are final.
     fn complete(&mut self, done: &[u8], jsonl: &[u8]) -> io::Result<()> {
-        let payload = TaskEvent::Completed {
-            done: done.to_vec(),
-            jsonl: jsonl.to_vec(),
-        }
-        .encode();
+        let payload = TaskEvent::Completed { done, jsonl }.encode();
         let rotated = self
             .journal
             .take()
@@ -317,8 +320,9 @@ impl TaskPaths {
         }
     }
 
-    /// Removes every on-disk artifact of the task (cancellation GC).
-    /// Idempotent: missing files are fine.
+    /// Removes every on-disk artifact of the task (cancellation GC),
+    /// including a stray `.ckpt` left by an older version. Idempotent:
+    /// missing files are fine.
     pub(crate) fn remove_all(&self) {
         for p in [&self.done, &self.ckpt, &self.jsonl, &self.journal] {
             let _ = std::fs::remove_file(p);
@@ -326,7 +330,7 @@ impl TaskPaths {
     }
 }
 
-/// Reads and decodes a `.done`/`.ckpt` artifact; a corrupt or truncated
+/// Reads and decodes a `.done` artifact; a corrupt or truncated
 /// file is logged and **deleted** (recovery treats it as absent and
 /// falls back — never a panic; Contract 10).
 fn read_or_quarantine<T>(
@@ -396,9 +400,10 @@ impl RunningTask {
     /// Recovery order (Contract 10): a decodable `.done` wins; then the
     /// task journal's durable *completed* record (healing the result
     /// files byte-exactly); then the journal's latest durable
-    /// checkpoint; then the `.ckpt` file (pre-journal directories);
-    /// then a fresh start. Corrupt artifacts are quarantined, never a
-    /// panic.
+    /// checkpoint; then a fresh start. Corrupt artifacts are
+    /// quarantined, never a panic. A stray `.ckpt` from an older
+    /// version is removed unread, so every directory converges to the
+    /// same bytes.
     ///
     /// # Errors
     ///
@@ -412,21 +417,18 @@ impl RunningTask {
     ) -> io::Result<OpenedTask> {
         let paths = dir.map(|d| TaskPaths::new(d, &id));
 
-        // Completed on a previous run: reuse the stored result verbatim.
-        // A real kill can land between the `.done` write and the
-        // checkpoint removal, so sweep up any leftover `.ckpt` here —
-        // otherwise the stale file would survive every later resume and
-        // the directory would never byte-match a clean run.
         if let Some(p) = &paths {
+            let _ = std::fs::remove_file(&p.ckpt);
+            // Completed on a previous run: reuse the stored result
+            // verbatim.
             if let Some(result) = read_or_quarantine(&p.done, ".done file", decode_done) {
-                let _ = std::fs::remove_file(&p.ckpt);
                 return Ok(OpenedTask::Done(result));
             }
         }
 
         // Open the event journal and replay its durable prefix. The
         // journal is authoritative: its records were appended *before*
-        // the matching `.ckpt`/`.done` files were published, so it is
+        // the matching `.jsonl`/`.done` files were published, so it is
         // never behind them.
         let journal = match &paths {
             Some(p) => {
@@ -439,7 +441,6 @@ impl RunningTask {
                         // from the journal, byte-exact.
                         fs::write_atomic(&p.jsonl, jsonl_bytes)?;
                         fs::write_atomic(&p.done, done_bytes)?;
-                        let _ = std::fs::remove_file(&p.ckpt);
                         return Ok(OpenedTask::Done(result));
                     }
                     eprintln!(
@@ -453,9 +454,8 @@ impl RunningTask {
         };
 
         let evaluator = build_evaluator(&task.spec);
-        // Resume source, in order of trust: the journal's latest durable
-        // checkpoint, then the `.ckpt` file (pre-journal directories),
-        // then a fresh start.
+        // Resume from the journal's latest durable checkpoint, else
+        // start fresh.
         let resumed = journal
             .as_ref()
             .and_then(|(_, state)| state.checkpoint.as_deref())
@@ -465,10 +465,6 @@ impl RunningTask {
                     eprintln!("campaign: undecodable journal checkpoint for {id} ({e})");
                     None
                 }
-            })
-            .or_else(|| {
-                let p = paths.as_ref()?;
-                read_or_quarantine(&p.ckpt, ".ckpt file", decode_ckpt)
             });
         let mut journal = journal.map(|(j, _)| j);
 
@@ -518,8 +514,7 @@ impl RunningTask {
     /// Advances the driver by one step, appending telemetry, writing
     /// the periodic durable checkpoint when `checkpoint_every` new
     /// simulations have accumulated, and — on completion — publishing
-    /// the final result (journal rotation first, then `.jsonl`/`.done`,
-    /// then `.ckpt` removal).
+    /// the final result (journal rotation first, then `.jsonl`/`.done`).
     ///
     /// # Errors
     ///
@@ -552,7 +547,6 @@ impl RunningTask {
                     }
                     fs::write_atomic(&p.jsonl, &jsonl_bytes)?;
                     fs::write_atomic(&p.done, &done_bytes)?;
-                    let _ = std::fs::remove_file(&p.ckpt);
                 }
                 Ok(TaskStep::Done(Box::new(result)))
             }
@@ -581,9 +575,9 @@ impl RunningTask {
         }
     }
 
-    /// Persists a full resume snapshot now (journal first, then the
-    /// `.ckpt` and `.jsonl` artifacts) — the halt/pause/shutdown hook.
-    /// A no-op in memory-only mode.
+    /// Persists a full resume snapshot now (the journal record, then
+    /// the `.jsonl` artifact) — the halt/pause/shutdown hook. A no-op in
+    /// memory-only mode.
     ///
     /// # Errors
     ///
@@ -605,7 +599,6 @@ impl RunningTask {
         if let Some(journal) = &mut self.journal {
             journal.checkpoint(sims as u64, &bytes)?;
         }
-        fs::write_atomic(&p.ckpt, &bytes)?;
         fs::write_atomic(&p.jsonl, self.lines.join("\n").as_bytes())?;
         self.last_ckpt = sims;
         Ok(())
@@ -665,4 +658,87 @@ pub(crate) fn result_front(result: &TaskResult) -> Vec<(f64, f64, usize)> {
 /// the service's cancellation GC for jobs replayed as cancelled.
 pub(crate) fn remove_task_files(dir: &Path, id: &str) {
     TaskPaths::new(dir, id).remove_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::{ExperimentSpec, Method};
+    use cv_journal::{failpoint, framed_len, JOURNAL_MAGIC};
+    use cv_prefix::CircuitKind;
+
+    /// At a small segment cap, every checkpoint writes its snapshot
+    /// exactly once — appended while the segment fits, otherwise as the
+    /// whole of a replacement segment — and never to a `.ckpt` file.
+    #[test]
+    fn each_checkpoint_writes_its_snapshot_once_under_the_cap() {
+        const CAP: u64 = 4096;
+        let dir = std::env::temp_dir().join(format!("cv_persist_once_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let (mut appended, mut replaced) = (0, 0);
+        // SA snapshots fit the cap several times over; RL's do not.
+        for method in [Method::Sa, Method::Rl] {
+            let task = CampaignTask {
+                method,
+                spec: ExperimentSpec::standard(8, CircuitKind::Adder, 0.5, 40),
+                seed: 3,
+            };
+            let id = task.id();
+            let paths = TaskPaths::new(&dir, &id);
+            let OpenedTask::Run(mut run) =
+                RunningTask::open(&task, id.clone(), Some(&dir), CAP).expect("open")
+            else {
+                panic!("a fresh task runs");
+            };
+            let mut prev_len = std::fs::metadata(&paths.journal).expect("journal").len();
+            loop {
+                let ticks = failpoint::thread_ticks();
+                match run.step(4).expect("step") {
+                    TaskStep::Running { checkpointed: true } => {}
+                    TaskStep::Running { .. } => continue,
+                    TaskStep::Done(_) => break,
+                }
+                let written = failpoint::thread_ticks() - ticks;
+                let len = std::fs::metadata(&paths.journal).expect("journal").len();
+                let records = Journal::read_back(&paths.journal).expect("read back");
+                let [.., progress, checkpoint] = records.as_slice() else {
+                    panic!("a checkpoint leaves a record pair");
+                };
+                assert!(matches!(
+                    TaskEvent::decode(progress),
+                    Ok(TaskEvent::Progress { .. })
+                ));
+                let Ok(TaskEvent::Checkpoint { bytes }) = TaskEvent::decode(checkpoint) else {
+                    panic!("the last record is the checkpoint");
+                };
+                let pair = framed_len(&[progress, checkpoint]);
+                if prev_len + pair > CAP {
+                    assert_eq!(records.len(), 2, "an overflowing checkpoint replaces");
+                    assert_eq!(len, JOURNAL_MAGIC.len() as u64 + pair);
+                    replaced += 1;
+                } else {
+                    assert_eq!(len, prev_len + pair, "a fitting checkpoint appends");
+                    appended += 1;
+                }
+                // The durable bytes are the pair (plus the magic of a
+                // replacement segment), the telemetry file, and one tick
+                // per non-write operation: no second snapshot copy.
+                let jsonl = std::fs::metadata(&paths.jsonl).expect("jsonl").len();
+                let once = pair + jsonl;
+                assert!(
+                    (once..once + 24).contains(&written),
+                    "{id}: wrote {written} ticks for a {}-byte snapshot",
+                    bytes.len()
+                );
+                assert!(!paths.ckpt.exists(), "no standalone .ckpt");
+                prev_len = len;
+            }
+        }
+        assert!(
+            appended > 0 && replaced > 0,
+            "{appended} appends, {replaced} replacements"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -89,7 +89,16 @@ impl Drop for ConnGuard {
     }
 }
 
-type Command = (Request, Sender<String>);
+/// A rendered response line for a connection thread to write. A
+/// `written` signal fires once the line is written and flushed (and is
+/// dropped unfired if the write fails) — how the scheduler learns that
+/// the `shutdown` acknowledgement has left the process.
+struct Reply {
+    line: String,
+    written: Option<Sender<()>>,
+}
+
+type Command = (Request, Sender<Reply>);
 
 /// Serves `daemon` on `addr` with the default [`ServeOptions`]. See
 /// [`serve_with`].
@@ -108,7 +117,10 @@ pub fn serve(daemon: Daemon, addr: &str, port_file: Option<&Path>) -> io::Result
 ///
 /// Shutdown is graceful: every running job is checkpointed durably
 /// before the `shutdown` acknowledgement is sent, so a restart resumes
-/// where serving stopped.
+/// where serving stopped. This function returns only once that
+/// acknowledgement has been written and flushed to its client (or the
+/// write failed, or the connection's write timeout passed), so a caller
+/// that exits right after it never cuts the reply off.
 ///
 /// # Errors
 ///
@@ -147,11 +159,15 @@ pub fn serve_with(
     };
 
     let result = scheduler_loop(&mut daemon, &cmd_rx);
+    if let Ok(Some(written)) = &result {
+        // An `Err` here means the write failed and the client is gone.
+        let _ = written.recv_timeout(opts.write_timeout);
+    }
     // Unblock the accept thread (it is parked in `accept`) and reap it.
     stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(local);
     let _ = accept.join();
-    result
+    result.map(drop)
 }
 
 fn accept_loop(
@@ -265,6 +281,7 @@ fn connection_loop(stream: TcpStream, cmd_tx: SyncSender<Command>, opts: &ServeO
     let mut writer = stream;
     let mut reader = BufReader::new(read_half);
     loop {
+        let mut written = None;
         let (reply, close_after) = match read_line_capped(&mut reader, opts.max_line_bytes) {
             LineRead::Closed => return,
             LineRead::TornRequest => {
@@ -299,7 +316,10 @@ fn connection_loop(stream: TcpStream, cmd_tx: SyncSender<Command>, opts: &ServeO
                     let (reply_tx, reply_rx) = mpsc::channel();
                     match cmd_tx.try_send((req, reply_tx)) {
                         Ok(()) => match reply_rx.recv() {
-                            Ok(reply) => (reply, false),
+                            Ok(reply) => {
+                                written = reply.written;
+                                (reply.line, false)
+                            }
                             Err(_) => return, // scheduler gone: daemon shut down
                         },
                         // Backpressure: shed the request, keep the
@@ -328,24 +348,33 @@ fn connection_loop(stream: TcpStream, cmd_tx: SyncSender<Command>, opts: &ServeO
             eprintln!("campaignd: closing {peer}: write failed");
             return;
         }
+        if let Some(written) = written {
+            let _ = written.send(());
+        }
         if close_after {
             return;
         }
     }
 }
 
-fn scheduler_loop(daemon: &mut Daemon, cmd_rx: &Receiver<Command>) -> io::Result<()> {
+/// Runs until a `shutdown` is acknowledged — returning the signal that
+/// fires once its reply is written — or until every command sender is
+/// gone (`None`).
+fn scheduler_loop(
+    daemon: &mut Daemon,
+    cmd_rx: &Receiver<Command>,
+) -> io::Result<Option<Receiver<()>>> {
     loop {
         // Drain every queued command between rounds.
         loop {
             match cmd_rx.try_recv() {
                 Ok(cmd) => {
-                    if dispatch(daemon, cmd)? {
-                        return Ok(());
+                    if let Some(written) = dispatch(daemon, cmd)? {
+                        return Ok(Some(written));
                     }
                 }
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return Ok(()),
+                Err(TryRecvError::Disconnected) => return Ok(None),
             }
         }
         let stepped = daemon.round()?;
@@ -354,20 +383,21 @@ fn scheduler_loop(daemon: &mut Daemon, cmd_rx: &Receiver<Command>) -> io::Result
             // spinning.
             match cmd_rx.recv_timeout(IDLE_WAIT) {
                 Ok(cmd) => {
-                    if dispatch(daemon, cmd)? {
-                        return Ok(());
+                    if let Some(written) = dispatch(daemon, cmd)? {
+                        return Ok(Some(written));
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return Ok(()),
+                Err(RecvTimeoutError::Disconnected) => return Ok(None),
             }
         }
     }
 }
 
-/// Handles one command; returns `Ok(true)` when serving should stop
-/// (a graceful, fully-checkpointed shutdown was acknowledged).
-fn dispatch(daemon: &mut Daemon, (req, reply): Command) -> io::Result<bool> {
+/// Handles one command; returns `Ok(Some(written))` when serving should
+/// stop (a graceful, fully-checkpointed shutdown was acknowledged), where
+/// `written` fires once the acknowledgement is on the wire.
+fn dispatch(daemon: &mut Daemon, (req, reply): Command) -> io::Result<Option<Receiver<()>>> {
     let is_shutdown = matches!(req, Request::Shutdown);
     if is_shutdown {
         // Durability before the acknowledgement, as for every command.
@@ -375,11 +405,23 @@ fn dispatch(daemon: &mut Daemon, (req, reply): Command) -> io::Result<bool> {
     }
     match daemon.handle(&req) {
         Ok(resp) => {
-            let _ = reply.send(resp.render());
-            Ok(is_shutdown)
+            let (written_tx, written) = if is_shutdown {
+                let (tx, rx) = mpsc::channel();
+                (Some(tx), Some(rx))
+            } else {
+                (None, None)
+            };
+            let _ = reply.send(Reply {
+                line: resp.render(),
+                written: written_tx,
+            });
+            Ok(written)
         }
         Err(e) => {
-            let _ = reply.send(Response::error(format!("persistence failure: {e}")).render());
+            let _ = reply.send(Reply {
+                line: Response::error(format!("persistence failure: {e}")).render(),
+                written: None,
+            });
             Err(e)
         }
     }

@@ -195,16 +195,17 @@ fn op_boundary_crashes_resume_byte_identical() {
 
 /// A crash in the middle of a journal append leaves a torn tail. Build
 /// the reachable state directly: halt after the first checkpoint, cut
-/// the journal mid-frame, and resume — with the `.ckpt` file present
-/// (falls back to it) and absent (replays the shorter journal prefix,
-/// restarting fresh if no checkpoint survived).
+/// the journal mid-frame, and resume — replaying the shorter journal
+/// prefix, or restarting fresh if no checkpoint survived. A stray
+/// `.ckpt` (the standalone snapshot older versions wrote) is planted in
+/// half the cases: resume must ignore it and remove it.
 #[test]
 fn mid_append_torn_journal_tail_recovers() {
     let _guard = serialize();
     baseline();
     let first_id = tasks()[0].id();
     for cut in [1usize, 3, 7, 16] {
-        for keep_ckpt in [true, false] {
+        for stray_ckpt in [true, false] {
             let dir = base_dir().join("torn_tail");
             let _ = std::fs::remove_dir_all(&dir);
             let mut halted_cfg = cfg(&dir, 1 << 20);
@@ -216,11 +217,18 @@ fn mid_append_torn_journal_tail_recovers() {
             let bytes = std::fs::read(&journal_path).expect("journal written");
             assert!(bytes.len() > 8 + cut, "journal holds records to tear");
             std::fs::write(&journal_path, &bytes[..bytes.len() - cut]).expect("tear tail");
-            if !keep_ckpt {
-                let _ = std::fs::remove_file(dir.join(format!("{first_id}.ckpt")));
+            let ckpt_path = dir.join(format!("{first_id}.ckpt"));
+            assert!(!ckpt_path.exists(), "checkpoints live only in the journal");
+            if stray_ckpt {
+                let mut stray = b"CVCPCK01".to_vec();
+                stray.extend_from_slice(&[0xa5; 64]);
+                std::fs::write(&ckpt_path, stray).expect("plant stray .ckpt");
             }
 
+            // The resumed directory byte-matches the clean run's file
+            // set, so the stray file must be gone.
             resume_and_check(&dir, 1 << 20);
+            assert!(!ckpt_path.exists(), "stray .ckpt survived resume");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

@@ -755,3 +755,74 @@ fn connection_limit_sheds_with_structured_overload() {
     assert_connections_drain();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every `campaignd shutdown` is acknowledged, even though the server
+/// process exits as soon as `serve_with` returns: the acknowledgement
+/// must be written and flushed before that. Drives the real binary, with
+/// the real client, through drain→shutdown cycles.
+#[test]
+fn shutdown_ack_survives_process_exit() {
+    use std::process::{Command, Stdio};
+    const CYCLES: usize = 50;
+
+    let _net = net_serialize();
+    let bin = env!("CARGO_BIN_EXE_campaignd");
+    let dir = base_dir("shutdown_ack");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut lost = Vec::new();
+    for cycle in 0..CYCLES {
+        let state = dir.join(format!("c{cycle}"));
+        let port_file = dir.join(format!("c{cycle}.port"));
+        let mut server = Command::new(bin)
+            .arg("serve")
+            .arg(format!("--dir={}", state.display()))
+            .arg(format!("--port-file={}", port_file.display()))
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn campaignd serve");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let port: u16 = loop {
+            if let Some(port) = std::fs::read_to_string(&port_file)
+                .ok()
+                .and_then(|t| t.trim().parse().ok())
+            {
+                break port;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "port file never appeared"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        };
+
+        // Drain one small job.
+        let mut client = Client::connect(port);
+        let spec = job(Method::Random, TechLibrary::Nangate45Like, 6, cycle as u64);
+        client.expect_ok(&Request::Submit(spec));
+        loop {
+            client.send_raw(Request::Status { id: None }.render().as_bytes());
+            let reply = client.recv().expect("status reply");
+            if reply.contains("\"state\":\"done\"") {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "job never drained");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        drop(client);
+
+        let shutdown = Command::new(bin)
+            .arg("shutdown")
+            .arg(format!("--port-file={}", port_file.display()))
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("run campaignd shutdown");
+        let served = server.wait().expect("wait for campaignd serve");
+        assert!(served.success(), "cycle {cycle}: serve exited {served}");
+        if !shutdown.success() {
+            lost.push(cycle);
+        }
+    }
+    assert!(lost.is_empty(), "shutdown acks lost in cycles {lost:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -104,6 +104,8 @@ thread_local! {
     /// on one thread, so this safely routes the error kind between
     /// them).
     static FIRED_TRANSIENT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Durable ticks spent by this thread (see [`thread_ticks`]).
+    static THREAD_TICKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The verdict for one announced operation.
@@ -126,6 +128,7 @@ pub(crate) fn begin_op(op: FailOp, bytes: usize) -> Verdict {
         _ => 1,
     };
     TICKS.fetch_add(cost, Ordering::Relaxed);
+    THREAD_TICKS.with(|t| t.set(t.get() + cost));
     FIRED_TRANSIENT.with(|f| f.set(false));
     if CRASHED.load(Ordering::SeqCst) {
         // The simulated process is already dead: nothing else lands.
@@ -268,6 +271,13 @@ pub fn crashed() -> bool {
 /// disarmed) — the yardstick tests use to enumerate crash points.
 pub fn ticks() -> u64 {
     TICKS.load(Ordering::Relaxed)
+}
+
+/// Cumulative durable ticks spent by the calling thread — [`ticks`]
+/// without the writes of concurrently running threads, so a test can
+/// count exactly the bytes one call of its own wrote.
+pub fn thread_ticks() -> u64 {
+    THREAD_TICKS.with(std::cell::Cell::get)
 }
 
 /// Arms the real-kill mode from the `CV_FAILPOINT` environment variable

@@ -113,12 +113,25 @@ pub struct Opened {
     pub truncated_bytes: u64,
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut f = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    f.extend_from_slice(&crc32(payload).to_le_bytes());
-    f.extend_from_slice(payload);
-    f
+/// The on-disk size of `payloads` framed as records (payload bytes plus
+/// [`FRAME_OVERHEAD`] each) — what an [`Journal::append_all`] of them
+/// adds to a segment.
+pub fn framed_len(payloads: &[&[u8]]) -> u64 {
+    payloads
+        .iter()
+        .map(|p| (FRAME_OVERHEAD + p.len()) as u64)
+        .sum()
+}
+
+/// Appends each payload's frame to `out`: one copy and one CRC pass
+/// per payload.
+fn frame_into(out: &mut Vec<u8>, payloads: &[&[u8]]) {
+    out.reserve(framed_len(payloads) as usize);
+    for p in payloads {
+        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(p).to_le_bytes());
+        out.extend_from_slice(p);
+    }
 }
 
 impl Journal {
@@ -235,9 +248,7 @@ impl Journal {
     /// As [`Journal::append`].
     pub fn append_all(&mut self, payloads: &[&[u8]]) -> io::Result<()> {
         let mut bytes = Vec::new();
-        for p in payloads {
-            bytes.extend_from_slice(&frame(p));
-        }
+        frame_into(&mut bytes, payloads);
         fs::write_all(&mut self.file, &bytes)?;
         fs::sync(&self.file)?;
         self.len += bytes.len() as u64;
@@ -254,9 +265,7 @@ impl Journal {
     /// Underlying I/O failures and injected crashes.
     pub fn rotate(self, payloads: &[&[u8]]) -> io::Result<Journal> {
         let mut bytes = Vec::from(JOURNAL_MAGIC.as_slice());
-        for p in payloads {
-            bytes.extend_from_slice(&frame(p));
-        }
+        frame_into(&mut bytes, payloads);
         let path = self.path.clone();
         drop(self); // release the handle before replacing the file
         fs::write_atomic(&path, &bytes)?;

@@ -3,6 +3,17 @@
 use crate::cell::{Cell, Drive, Function};
 use serde::{Deserialize, Serialize};
 
+/// Number of cells in a full `Function × Drive` matrix.
+const MATRIX_LEN: usize = Function::ALL.len() * Drive::ALL.len();
+
+/// Position of `(function, drive)` in the canonical matrix order. Both
+/// enums declare their variants in `ALL` order, so the discriminants are
+/// the `ALL` indices.
+#[inline]
+fn matrix_slot(function: Function, drive: Drive) -> usize {
+    function as usize * Drive::ALL.len() + drive as usize
+}
+
 /// Statistical wire-load model.
 ///
 /// Real routers add capacitance per sink plus a congestion component that
@@ -31,9 +42,15 @@ impl WireModel {
 
 /// A technology library: a full `Function × Drive` matrix of cells plus
 /// the wire model and IO assumptions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Not `Deserialize`: every library is built through
+/// [`CellLibrary::new`], which establishes the matrix layout that
+/// [`CellLibrary::cell`] indexes into.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CellLibrary {
     name: String,
+    /// The full matrix in canonical order: slot
+    /// `function · |Drive::ALL| + drive`.
     cells: Vec<Cell>,
     wire: WireModel,
     /// Capacitance presented by a primary output, fF.
@@ -43,7 +60,8 @@ pub struct CellLibrary {
 }
 
 impl CellLibrary {
-    /// Builds a library from parts.
+    /// Builds a library from parts. The cells may come in any order; the
+    /// library stores them in canonical matrix order.
     ///
     /// # Panics
     ///
@@ -56,27 +74,32 @@ impl CellLibrary {
         output_load_ff: f64,
         input_drive_res: f64,
     ) -> Self {
-        let lib = CellLibrary {
+        // One pass places each cell in its slot and counts it there, so
+        // validation is O(cells).
+        let mut matrix = [None::<Cell>; MATRIX_LEN];
+        let mut found = [0usize; MATRIX_LEN];
+        for cell in cells {
+            let slot = matrix_slot(cell.function, cell.drive);
+            found[slot] += 1;
+            matrix[slot] = Some(cell);
+        }
+        let cells = Function::ALL
+            .into_iter()
+            .flat_map(|f| Drive::ALL.into_iter().map(move |d| (f, d)))
+            .map(|(f, d)| {
+                let slot = matrix_slot(f, d);
+                let n = found[slot];
+                assert_eq!(n, 1, "library must contain exactly one {f}_{d}, found {n}");
+                matrix[slot].expect("counted above")
+            })
+            .collect();
+        CellLibrary {
             name: name.into(),
             cells,
             wire,
             output_load_ff,
             input_drive_res,
-        };
-        for f in Function::ALL {
-            for d in Drive::ALL {
-                let found = lib
-                    .cells
-                    .iter()
-                    .filter(|c| c.function == f && c.drive == d)
-                    .count();
-                assert_eq!(
-                    found, 1,
-                    "library must contain exactly one {f}_{d}, found {found}"
-                );
-            }
         }
-        lib
     }
 
     /// Library name (e.g. `nangate45-like`).
@@ -84,12 +107,11 @@ impl CellLibrary {
         &self.name
     }
 
-    /// Looks up the cell implementing `function` at `drive`.
+    /// Looks up the cell implementing `function` at `drive`: a direct
+    /// index into the matrix [`CellLibrary::new`] laid out.
+    #[inline]
     pub fn cell(&self, function: Function, drive: Drive) -> &Cell {
-        self.cells
-            .iter()
-            .find(|c| c.function == function && c.drive == drive)
-            .expect("library construction guarantees a full matrix")
+        &self.cells[matrix_slot(function, drive)]
     }
 
     /// The wire-load model.
@@ -107,7 +129,8 @@ impl CellLibrary {
         self.input_drive_res
     }
 
-    /// All cells (the full matrix), for inspection and reports.
+    /// All cells (the full matrix, `Function::ALL`-major then
+    /// `Drive::ALL`), for inspection and reports.
     pub fn cells(&self) -> &[Cell] {
         &self.cells
     }
@@ -140,6 +163,38 @@ mod tests {
                 assert!(c.area_um2 > 0.0 && c.input_cap_ff > 0.0);
             }
         }
+    }
+
+    #[test]
+    fn shuffled_matrix_indexes_like_a_linear_find() {
+        let lib = nangate45_like();
+        let n = lib.cells().len();
+        // i ↦ 7i + 3 (mod 30) is a bijection (7 is coprime to 30); the
+        // reversal is a second, unrelated order.
+        let rotated: Vec<Cell> = (0..n).map(|i| lib.cells()[(7 * i + 3) % n]).collect();
+        let reversed: Vec<Cell> = lib.cells().iter().rev().copied().collect();
+        for shuffled in [rotated, reversed] {
+            let built = CellLibrary::new("shuffled", shuffled.clone(), *lib.wire(), 1.0, 0.01);
+            for f in Function::ALL {
+                for d in Drive::ALL {
+                    let linear = shuffled
+                        .iter()
+                        .find(|c| c.function == f && c.drive == d)
+                        .unwrap();
+                    assert_eq!(built.cell(f, d), linear, "{f}_{d}");
+                }
+            }
+            assert_eq!(built.cells(), lib.cells(), "canonical order");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one INV_X1, found 2")]
+    fn duplicated_cell_panics() {
+        let lib = nangate45_like();
+        let mut cells = lib.cells().to_vec();
+        cells[1] = cells[0];
+        let _ = CellLibrary::new("broken", cells, *lib.wire(), 1.0, 0.01);
     }
 
     #[test]

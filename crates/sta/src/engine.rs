@@ -21,6 +21,12 @@
 //! `analyze` for an engine without changing a single decision, which is
 //! what makes the incremental evaluation path of `EvalSession`
 //! indistinguishable from the reference flow.
+//!
+//! A sizing *trial* is a [`TimingEngine::set_drive`] followed by
+//! [`TimingEngine::revert`]. `set_drive` logs every load and arrival it
+//! overwrites, and `revert` writes those stored values back (plus the
+//! old drive), so the state after a trial is the state before it, bit
+//! for bit, without a second cone propagation.
 
 use crate::{IoTiming, PathStep, TimingReport};
 use cv_cells::{CellLibrary, Drive};
@@ -77,6 +83,11 @@ pub struct TimingEngine {
     /// Dirty-gate worklist, bucketed by level.
     buckets: Vec<Vec<u32>>,
     dirty: Vec<bool>,
+    /// Undo log of the last `set_drive`: the gate and its old drive, and
+    /// every `(net, old value)` it overwrote in `loads` / `arrival`.
+    undo_gate: Option<(GateId, Drive)>,
+    undo_loads: Vec<(u32, f64)>,
+    undo_arrival: Vec<(u32, f64)>,
     /// Scratch reused across rebuilds.
     fanout_scratch: Vec<usize>,
     indeg_scratch: Vec<u32>,
@@ -98,6 +109,12 @@ impl TimingEngine {
     /// Arrival time at `net`, ns.
     pub fn arrival(&self, net: NetId) -> f64 {
         self.arrival[net]
+    }
+
+    /// Capacitive load on `net`, fF (bitwise the value
+    /// [`Netlist::net_loads_ff`] gives for the current drives).
+    pub fn load_ff(&self, net: NetId) -> f64 {
+        self.loads[net]
     }
 
     /// Full (re)initialization for `netlist`: loads, sink arena, levels,
@@ -226,12 +243,14 @@ impl TimingEngine {
         }
         self.dirty.clear();
         self.dirty.resize(gates, false);
+        self.clear_undo();
     }
 
     /// Sets the drive of `gid` (keeping `netlist` in sync) and
     /// re-propagates the affected cone: the gate itself, the drivers of
     /// its input nets (whose loads changed), and everything downstream of
-    /// any arrival that actually moved.
+    /// any arrival that actually moved. Every value it overwrites is
+    /// logged, so [`TimingEngine::revert`] can undo this call.
     pub fn set_drive(
         &mut self,
         netlist: &mut Netlist,
@@ -239,9 +258,12 @@ impl TimingEngine {
         gid: GateId,
         drive: Drive,
     ) {
-        if netlist.drive(gid) == drive {
+        self.clear_undo();
+        let old = netlist.drive(gid);
+        if old == drive {
             return;
         }
+        self.undo_gate = Some((gid, old));
         netlist.set_drive(gid, drive);
         // The resize changes this gate's input-pin capacitance, so every
         // net it consumes gets its load recomputed from scratch in
@@ -256,20 +278,41 @@ impl TimingEngine {
             if new_load.to_bits() == self.loads[net].to_bits() {
                 continue;
             }
+            self.undo_loads.push((net as u32, self.loads[net]));
             self.loads[net] = new_load;
             match netlist.driver(net) {
                 Driver::Gate(src) => self.mark(src),
                 Driver::Input { bit } => {
                     let at = self.arrival_of(bit) + lib.input_drive_res() * new_load;
-                    if at.to_bits() != self.arrival[net].to_bits() {
-                        self.arrival[net] = at;
-                        self.mark_sinks(net);
-                    }
+                    self.set_arrival(net, at);
                 }
             }
         }
         self.mark(gid);
         self.propagate(netlist, lib);
+    }
+
+    /// Undoes the last [`TimingEngine::set_drive`]: restores the gate's
+    /// old drive in `netlist` and writes back every load and arrival that
+    /// call overwrote, newest first. Nothing is recomputed, so the state
+    /// is bitwise the state before that call. A no-op when there is
+    /// nothing to undo: after `rebuild`, `set_input_arrival`, a `revert`,
+    /// or a `set_drive` that did not change the drive.
+    ///
+    /// `netlist` must be the netlist the `set_drive` was applied to.
+    pub fn revert(&mut self, netlist: &mut Netlist) {
+        let Some((gid, drive)) = self.undo_gate.take() else {
+            return;
+        };
+        netlist.set_drive(gid, drive);
+        for &(net, at) in self.undo_arrival.iter().rev() {
+            self.arrival[net as usize] = at;
+        }
+        for &(net, load) in self.undo_loads.iter().rev() {
+            self.loads[net as usize] = load;
+        }
+        self.undo_arrival.clear();
+        self.undo_loads.clear();
     }
 
     /// Overwrites the arrival time of input `bit` and re-propagates its
@@ -285,13 +328,12 @@ impl TimingEngine {
         for net in 0..netlist.net_count() {
             if netlist.driver(net) == (Driver::Input { bit }) {
                 let at = arrival_ns + lib.input_drive_res() * self.loads[net];
-                if at.to_bits() != self.arrival[net].to_bits() {
-                    self.arrival[net] = at;
-                    self.mark_sinks(net);
-                }
+                self.set_arrival(net, at);
             }
         }
         self.propagate(netlist, lib);
+        // The IO profile changed, so no earlier `set_drive` is undoable.
+        self.clear_undo();
     }
 
     /// Effective delay over the primary outputs (same selection rule as
@@ -402,6 +444,22 @@ impl TimingEngine {
         load + lib.wire().wire_cap_ff(fanout, self.gate_count)
     }
 
+    fn clear_undo(&mut self) {
+        self.undo_gate = None;
+        self.undo_loads.clear();
+        self.undo_arrival.clear();
+    }
+
+    /// Stores `at` as `net`'s arrival if it differs bitwise, logging the
+    /// old value and marking the sinks dirty.
+    fn set_arrival(&mut self, net: NetId, at: f64) {
+        if at.to_bits() != self.arrival[net].to_bits() {
+            self.undo_arrival.push((net as u32, self.arrival[net]));
+            self.arrival[net] = at;
+            self.mark_sinks(net);
+        }
+    }
+
     fn mark(&mut self, gid: GateId) {
         if !self.dirty[gid] {
             self.dirty[gid] = true;
@@ -433,10 +491,7 @@ impl TimingEngine {
                     .map(|&i| self.arrival[i])
                     .fold(f64::NEG_INFINITY, f64::max);
                 let at = worst_in + cell.delay_ns(self.loads[g.output]);
-                if at.to_bits() != self.arrival[g.output].to_bits() {
-                    self.arrival[g.output] = at;
-                    self.mark_sinks(g.output);
-                }
+                self.set_arrival(g.output, at);
             }
             lvl += 1;
         }

@@ -1,11 +1,11 @@
 //! Property-based tests for static timing analysis over arbitrary
 //! legalized prefix-adder netlists.
 
-use cv_cells::{nangate45_like, Drive};
-use cv_netlist::map_adder;
+use cv_cells::{nangate45_like, CellLibrary, Drive};
+use cv_netlist::{map_adder, Netlist};
 use cv_prefix::bitvec;
 use cv_prefix::PrefixGrid;
-use cv_sta::{analyze, critical_gates, IoTiming, TimingEngine};
+use cv_sta::{analyze, critical_gates, IoTiming, TimingEngine, TimingReport};
 use proptest::prelude::*;
 
 fn arb_netlist(n: usize) -> impl Strategy<Value = cv_netlist::Netlist> {
@@ -18,8 +18,75 @@ fn arb_netlist(n: usize) -> impl Strategy<Value = cv_netlist::Netlist> {
     })
 }
 
+/// The engine's whole observable state as bits: every arrival and load,
+/// the delay, the critical output and the critical path.
+fn engine_bits(engine: &TimingEngine, nl: &Netlist) -> Vec<u64> {
+    let loads = (0..nl.net_count()).map(|n| engine.load_ff(n)).collect();
+    report_bits(&engine.report(nl), loads)
+}
+
+/// [`engine_bits`] of a from-scratch `analyze` and `net_loads_ff`.
+fn full_bits(nl: &Netlist, lib: &CellLibrary, io: &IoTiming) -> Vec<u64> {
+    report_bits(&analyze(nl, lib, io), nl.net_loads_ff(lib))
+}
+
+fn report_bits(r: &TimingReport, loads: Vec<f64>) -> Vec<u64> {
+    let mut bits: Vec<u64> = r.net_arrival_ns.iter().map(|a| a.to_bits()).collect();
+    bits.extend(loads.iter().map(|l| l.to_bits()));
+    bits.push(r.delay_ns.to_bits());
+    bits.push(r.critical_output_bit as u64);
+    for step in &r.critical_path {
+        bits.push(step.gate.map_or(u64::MAX, |g| g as u64));
+        bits.push(step.arrival_ns.to_bits());
+    }
+    bits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn trial_revert_restores_the_exact_state(
+        nl in arb_netlist(10),
+        skew in 0.0f64..0.3,
+        ops in prop::collection::vec((0u8..4, 0usize..256, 0usize..3, 0.0f64..0.4), 1..40),
+    ) {
+        // Random trials (`set_drive` + `revert`) interleaved with
+        // committed resizes and input-arrival edits: after every step
+        // the engine equals a fresh full pass, and every revert lands on
+        // the pre-trial state bit for bit.
+        let lib = nangate45_like();
+        let mut io = IoTiming::datapath_profile(10, skew);
+        let mut nl = nl;
+        let mut engine = TimingEngine::new();
+        engine.rebuild(&nl, &lib, &io);
+        for (kind, pick, drive, at) in ops {
+            let gid = pick % nl.gate_count();
+            let drive = Drive::ALL[drive];
+            match kind {
+                0 | 1 => {
+                    let (before_nl, before) = (nl.clone(), engine_bits(&engine, &nl));
+                    engine.set_drive(&mut nl, &lib, gid, drive);
+                    prop_assert_eq!(engine_bits(&engine, &nl), full_bits(&nl, &lib, &io));
+                    engine.revert(&mut nl);
+                    prop_assert_eq!(&nl, &before_nl);
+                    prop_assert_eq!(engine_bits(&engine, &nl), before);
+                    // Nothing left to undo: a second revert is a no-op.
+                    engine.revert(&mut nl);
+                    prop_assert_eq!(&nl, &before_nl);
+                }
+                2 => engine.set_drive(&mut nl, &lib, gid, drive),
+                _ => {
+                    let bit = pick % 10;
+                    engine.set_input_arrival(&nl, &lib, bit, at);
+                    io.arrival[bit] = at;
+                    // An IO edit leaves nothing to undo.
+                    engine.revert(&mut nl);
+                }
+            }
+            prop_assert_eq!(engine_bits(&engine, &nl), full_bits(&nl, &lib, &io));
+        }
+    }
 
     #[test]
     fn sta_total_and_positive(nl in arb_netlist(10)) {

@@ -43,7 +43,9 @@ pub use pareto::{
     ParetoPoint, SharedArchive,
 };
 pub use session::EvalSession;
-pub use sizing::{size_gates, size_gates_incremental};
+pub use sizing::{
+    size_gates, size_gates_incremental, size_gates_resident, SizingOutcome, SizingScratch,
+};
 pub use tracking::{
     eval_and_track, eval_and_track_from, eval_record_and_track, eval_record_and_track_from,
     BestTracker, SearchOutcome,

@@ -16,8 +16,8 @@ use crate::buffering::buffer_high_fanout;
 use crate::cost::{CostParams, PpaReport};
 use crate::evaluator::{EvalRecord, Objective};
 use crate::flow::SynthesisFlow;
-use crate::sizing::size_gates_incremental;
-use cv_netlist::{GateId, Netlist, NetlistBuilder, RemapStats};
+use crate::sizing::{size_gates_resident, SizingScratch};
+use cv_netlist::{Netlist, NetlistBuilder, RemapStats};
 use cv_prefix::PrefixGrid;
 use cv_sta::TimingEngine;
 
@@ -46,7 +46,7 @@ pub struct EvalSession {
     /// the builder's pristine mapped netlist).
     work: Netlist,
     engine: TimingEngine,
-    path: Vec<GateId>,
+    sizing: SizingScratch,
     /// The legalized grid of the most recent evaluation.
     last: Option<PrefixGrid>,
     /// Remap reuse of the most recent evaluation.
@@ -63,7 +63,7 @@ impl EvalSession {
             builder,
             work: Netlist::new(),
             engine: TimingEngine::new(),
-            path: Vec::new(),
+            sizing: SizingScratch::new(),
             last: None,
             last_stats: None,
         }
@@ -106,21 +106,21 @@ impl EvalSession {
         let lib = self.flow.library();
         let config = self.flow.config();
         let buffers = buffer_high_fanout(&mut self.work, lib, config.max_fanout);
-        let (upsized, delay_ns) = size_gates_incremental(
+        let sized = size_gates_resident(
             &mut self.work,
             lib,
             &config.io,
             config.delay_weight,
             config.sizing_moves,
             &mut self.engine,
-            &mut self.path,
+            &mut self.sizing,
         );
         let ppa = PpaReport {
-            area_um2: self.work.area_um2(lib),
-            delay_ns,
+            area_um2: sized.area_um2,
+            delay_ns: sized.delay_ns,
             gate_count: self.work.gate_count(),
             buffers_inserted: buffers,
-            gates_upsized: upsized,
+            gates_upsized: sized.moves,
         };
         self.last = Some(legal);
         self.last_stats = Some(stats);

@@ -20,16 +20,24 @@
 //!   once, never from splitting one chain.
 //! * `gemm_tn` (`Aᵀ×G`): element `(p,j)` accumulates over `i = 0..m`
 //!   ascending, same in-place chaining as NN.
-//! * conv lowering: the reference kernel forms a per-input-channel
-//!   partial in a register chain and adds per-channel partials in order;
-//!   the im2col path reproduces that grouping with one small GEMM per
-//!   input channel. Zero padding contributes explicit `w·(+0.0)` terms
-//!   the reference skips — bit-safe because an IEEE-754 accumulation
-//!   chain that starts at `+0.0` can never sit at `-0.0` (a sum is
-//!   `-0.0` only when both addends are), so adding `±0.0` never changes
-//!   the stored bits. The same argument covers the removed `a == 0.0`
-//!   zero-skips of the naive matmuls (which defeated vectorization on
-//!   dense training data).
+//! * conv forward: the reference kernel forms a per-input-channel
+//!   partial in a register chain and adds per-channel partials in order.
+//!   The direct 3×3 stride-1 kernel keeps that grouping with SIMD lanes
+//!   along output rows; the im2col path (every other geometry) keeps it
+//!   with one small GEMM per input channel.
+//! * conv backward: `gx` element chains run `co` ascending, then `ki`
+//!   descending, then `kj` descending; `gw` element chains run over
+//!   `(bi, oi, oj)` ascending. The direct 3×3 stride-1 kernel keeps both
+//!   (SIMD lanes along rows for `gx`, over input channels for `gw`).
+//!
+//! **The ±0.0 lemma.** Zero padding contributes explicit `w·(±0.0)`
+//! terms the reference skips — bit-safe because an IEEE-754
+//! accumulation chain that starts at `+0.0` can never sit at `-0.0` (a
+//! sum is `-0.0` only when both addends are), so adding `±0.0` never
+//! changes the stored bits. The same argument covers the dropped
+//! `g == 0.0` skip of the conv backward and the removed `a == 0.0`
+//! zero-skips of the naive matmuls (both defeat vectorization, and the
+//! conv skip mispredicts on a ReLU mask).
 //!
 //! Inputs containing NaN/±inf are outside the contract (`0·inf = NaN`).
 //!
@@ -53,7 +61,7 @@ pub mod simd;
 
 pub use simd::{
     cpu_features, detected_level, gemm_nn_at, gemm_nt_at, gemm_tn_at, relaxed_kernels,
-    set_relaxed_kernels, set_simd_level, simd_level, stencil3_at, KernelMode, SimdLevel,
+    set_relaxed_kernels, set_simd_level, simd_level, KernelMode, SimdLevel,
 };
 
 /// k-dimension cache block: 256 f32 rows of B keep the streamed panel
@@ -109,14 +117,15 @@ fn nn_block(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     simd::dispatch_nn(out, a, b, k, n);
 }
 
-/// [`nn_block`] pinned to strict mode regardless of the relaxed toggle:
-/// the conv lowerings use this so convolution stays bit-exact
-/// (Contract 9) even when the GEMM entry points opt into relaxed.
-fn nn_block_strict(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+/// [`nn_block`] at tier `level`, pinned to strict mode regardless of the
+/// relaxed toggle: the im2col conv lowering uses this so convolution
+/// stays bit-exact (Contract 9) even when the GEMM entry points opt into
+/// relaxed.
+fn nn_run_strict(level: SimdLevel, out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     if n == 0 {
         return;
     }
-    simd::dispatch_nn_strict(out, a, b, k, n);
+    simd::dispatch_nn_strict(level, out, a, b, k, n);
 }
 
 /// Scalar (autovectorized) tier of [`nn_block`]: accumulates
@@ -621,8 +630,6 @@ fn im2col(x: &[f32], cols: &mut [f32], s: &ConvShape) {
                         continue;
                     }
                     let xrow = &xc[ii as usize * s.w..][..s.w];
-                    // Strided gather (stride 1 never reaches im2col: the
-                    // forward handles it on the shifted-plane path).
                     for (oj, d) in dst.iter_mut().enumerate() {
                         let jj = (oj * s.stride + kj) as isize - s.pad as isize;
                         *d = if jj < 0 || jj >= s.w as isize {
@@ -638,20 +645,17 @@ fn im2col(x: &[f32], cols: &mut [f32], s: &ConvShape) {
 }
 
 /// Forward convolution, writing into a zeroed `out`
-/// (`batch·cout·oh·ow`). Scratch buffers are borrowed from (and
-/// returned to) `scratch`. Bit-identical to
+/// (`batch·cout·oh·ow`) at the active SIMD tier. Scratch buffers are
+/// borrowed from (and returned to) `scratch`. Bit-identical to
 /// [`reference::conv2d_forward`] for finite inputs.
 ///
 /// Two lowerings, both preserving the reference's per-input-channel
 /// register chain (`(ki, kj)` ascending) and channel-ordered partial
 /// adds:
 ///
-/// * `stride == 1`: *shifted-plane* accumulation — for each `(ki, kj)`
-///   one dense unit-stride axpy of the shifted input row into a
-///   per-channel partial plane. No im2col materialization at all, and
-///   the padded positions are skipped exactly like the reference.
-/// * `stride > 1`: im2col + one small GEMM per input channel (strided
-///   gathers pay for themselves once materialized).
+/// * 3×3, stride 1, pad 1 (the decoder convs): the direct register-tiled
+///   kernel over a zero-padded copy of the input (module `conv3x3`).
+/// * everything else: im2col + one small GEMM per input channel.
 pub fn conv2d_forward_into(
     out: &mut [f32],
     x: &[f32],
@@ -659,111 +663,39 @@ pub fn conv2d_forward_into(
     s: &ConvShape,
     scratch: &mut ScratchArena,
 ) {
+    conv2d_forward_at(simd::simd_level(), out, x, wgt, s, scratch);
+}
+
+/// [`conv2d_forward_into`] through the kernels of one specific SIMD
+/// tier, bypassing the global dispatch state — the race-free A/B
+/// surface for equivalence tests (conv is always strict).
+///
+/// # Panics
+///
+/// Panics if `level` is unsupported on this hardware or if slice
+/// lengths do not match the geometry.
+pub fn conv2d_forward_at(
+    level: SimdLevel,
+    out: &mut [f32],
+    x: &[f32],
+    wgt: &[f32],
+    s: &ConvShape,
+    scratch: &mut ScratchArena,
+) {
+    assert!(
+        level.is_supported(),
+        "SIMD level {level:?} unsupported here"
+    );
     let (oh, ow) = (s.oh(), s.ow());
     let (ohow, khkw) = (oh * ow, s.kh * s.kw);
-    let hw = s.h * s.w;
-    debug_assert_eq!(out.len(), s.batch * s.cout * ohow);
+    assert_eq!(x.len(), s.batch * s.cin * s.h * s.w, "conv2d x length");
+    assert_eq!(wgt.len(), s.cout * s.cin * khkw, "conv2d w length");
+    assert_eq!(out.len(), s.batch * s.cout * ohow, "conv2d out length");
     if out.is_empty() {
         return;
     }
-    if s.stride == 1 {
-        // Per-output-row partial: stays L1-resident across the three
-        // kernel-row passes, with the channel-ordered add fused right
-        // after each row completes.
-        let mut part = scratch.take_zeroed(ow);
-        let fused_3tap = s.kw == 3 && s.pad == 1 && ow == s.w && ow >= 2;
-        for bi in 0..s.batch {
-            let xb = &x[bi * s.cin * hw..][..s.cin * hw];
-            let obi = &mut out[bi * s.cout * ohow..][..s.cout * ohow];
-            for co in 0..s.cout {
-                let oplane = &mut obi[co * ohow..][..ohow];
-                for ci in 0..s.cin {
-                    let xc = &xb[ci * hw..][..hw];
-                    let wsl = &wgt[(co * s.cin + ci) * khkw..][..khkw];
-                    for oi in 0..oh {
-                        // `started` tracks whether `part` holds data yet:
-                        // the first valid kernel row *overwrites* instead
-                        // of zero-fill + accumulate. A written first tap
-                        // can leave `-0.0` where the reference chain
-                        // holds `+0.0`, but the difference cannot survive
-                        // `out += part` (adding `±0.0` to a chain that is
-                        // never `-0.0` — module contract), and `part` is
-                        // observed nowhere else.
-                        let mut started = false;
-                        for ki in 0..s.kh {
-                            let ishift = ki as isize - s.pad as isize;
-                            let ii = oi as isize + ishift;
-                            if ii < 0 || ii >= s.h as isize {
-                                continue;
-                            }
-                            let xrow = &xc[ii as usize * s.w..][..s.w];
-                            if fused_3tap {
-                                // All three kj taps in one pass; per
-                                // element the chain is kj-ascending over
-                                // the in-bounds taps, exactly the
-                                // reference's register chain.
-                                let (w0, w1, w2) = (wsl[ki * 3], wsl[ki * 3 + 1], wsl[ki * 3 + 2]);
-                                // Interior columns go through the SIMD
-                                // stencil (always strict: identical
-                                // per-element chains at every tier);
-                                // the two edge columns stay inline.
-                                if started {
-                                    part[0] = (part[0] + xrow[0] * w1) + xrow[1] * w2;
-                                    simd::dispatch_stencil3(
-                                        true,
-                                        &mut part[1..ow - 1],
-                                        &xrow[..ow],
-                                        w0,
-                                        w1,
-                                        w2,
-                                    );
-                                    part[ow - 1] =
-                                        (part[ow - 1] + xrow[ow - 2] * w0) + xrow[ow - 1] * w1;
-                                } else {
-                                    part[0] = xrow[0] * w1 + xrow[1] * w2;
-                                    simd::dispatch_stencil3(
-                                        false,
-                                        &mut part[1..ow - 1],
-                                        &xrow[..ow],
-                                        w0,
-                                        w1,
-                                        w2,
-                                    );
-                                    part[ow - 1] = xrow[ow - 2] * w0 + xrow[ow - 1] * w1;
-                                    started = true;
-                                }
-                                continue;
-                            }
-                            if !started {
-                                part.fill(0.0);
-                                started = true;
-                            }
-                            for kj in 0..s.kw {
-                                let wv = wsl[ki * s.kw + kj];
-                                let jshift = kj as isize - s.pad as isize;
-                                let oj_lo = ((-jshift).max(0) as usize).min(ow);
-                                let oj_hi = ((s.w as isize - jshift).max(0) as usize).min(ow);
-                                if oj_lo >= oj_hi {
-                                    continue;
-                                }
-                                let jj0 = (oj_lo as isize + jshift) as usize;
-                                let dst = &mut part[oj_lo..oj_hi];
-                                let src = &xrow[jj0..jj0 + (oj_hi - oj_lo)];
-                                for (d, &xv) in dst.iter_mut().zip(src) {
-                                    *d += xv * wv;
-                                }
-                            }
-                        }
-                        if started {
-                            for (o, &pv) in oplane[oi * ow..(oi + 1) * ow].iter_mut().zip(&part) {
-                                *o += pv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        scratch.give(part);
+    if conv3x3::applies(s) {
+        conv3x3::forward(level, out, x, wgt, s, scratch);
         return;
     }
     let mut cols = scratch.take_zeroed(s.cin * khkw * ohow);
@@ -787,7 +719,8 @@ pub fn conv2d_forward_into(
         );
         let obi = &mut out[bi * s.cout * ohow..][..s.cout * ohow];
         if s.cin == 1 {
-            nn_block_strict(
+            nn_run_strict(
+                level,
                 obi,
                 &wpack[..s.cout * khkw],
                 &cols[..khkw * ohow],
@@ -797,7 +730,8 @@ pub fn conv2d_forward_into(
         } else {
             for ci in 0..s.cin {
                 part.fill(0.0);
-                nn_block_strict(
+                nn_run_strict(
+                    level,
                     &mut part,
                     &wpack[ci * s.cout * khkw..][..s.cout * khkw],
                     &cols[ci * khkw * ohow..][..khkw * ohow],
@@ -817,22 +751,24 @@ pub fn conv2d_forward_into(
     }
 }
 
-/// Backward convolution: writes the input gradient into a zeroed `gx`
-/// and the weight gradient into a zeroed `gw`. Bit-identical to
-/// [`reference::conv2d_backward`] for finite inputs.
+/// Backward convolution at the active SIMD tier: writes the input
+/// gradient into a zeroed `gx` and the weight gradient into a zeroed
+/// `gw`. Bit-identical to [`reference::conv2d_backward`] for finite
+/// inputs.
 ///
-/// A fused direct kernel keeping the reference's `g == 0` skip (training
-/// gradients are ReLU-sparse, so most output positions drop out), with
-/// two overhead cuts the reference lacks:
-///
-/// * the per-multiply bounds checks are hoisted into precomputed valid
-///   kernel intervals per output position, and
-/// * the input-channel loop runs *inside* the gradient-zero test, so
-///   `g` is loaded and tested once per output position instead of once
-///   per `(ci, position)`. Legal because `ci` is part of every touched
-///   element's identity (gx plane, gw slice): for any fixed element the
-///   contribution order is still the reference's `(co, oi, oj, ki, kj)`
-///   (gx) and `(bi, oi, oj)` (gw).
+/// * 3×3, stride 1, pad 1: the direct register-tiled kernel of the
+///   `conv3x3` module (`gx` as a correlation over the zero-padded output
+///   gradient, `gw` with SIMD lanes over input channels).
+/// * other 3×3 geometries (the stride-2 encoder): a compact list of the
+///   nonzero output-gradient positions replayed per input channel
+///   (`conv2d_backward_3x3`).
+/// * any other kernel: a fused direct kernel keeping the reference's
+///   `g == 0` skip, with the per-multiply bounds checks hoisted into
+///   precomputed valid kernel intervals per output position, and the
+///   input-channel loop *inside* the gradient-zero test (legal because
+///   `ci` is part of every touched element's identity: for any fixed
+///   element the contribution order is still the reference's
+///   `(co, oi, oj, ki, kj)` (gx) and `(bi, oi, oj)` (gw)).
 pub fn conv2d_backward_into(
     gx: &mut [f32],
     gw: &mut [f32],
@@ -842,14 +778,45 @@ pub fn conv2d_backward_into(
     s: &ConvShape,
     scratch: &mut ScratchArena,
 ) {
+    conv2d_backward_at(simd::simd_level(), gx, gw, x, wgt, gout, s, scratch);
+}
+
+/// [`conv2d_backward_into`] through the kernels of one specific SIMD
+/// tier; see [`conv2d_forward_at`].
+///
+/// # Panics
+///
+/// Panics if `level` is unsupported on this hardware or if slice
+/// lengths do not match the geometry.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_backward_at(
+    level: SimdLevel,
+    gx: &mut [f32],
+    gw: &mut [f32],
+    x: &[f32],
+    wgt: &[f32],
+    gout: &[f32],
+    s: &ConvShape,
+    scratch: &mut ScratchArena,
+) {
+    assert!(
+        level.is_supported(),
+        "SIMD level {level:?} unsupported here"
+    );
     let (oh, ow) = (s.oh(), s.ow());
     let (ohow, khkw) = (oh * ow, s.kh * s.kw);
     let hw = s.h * s.w;
-    debug_assert_eq!(gx.len(), s.batch * s.cin * hw);
-    debug_assert_eq!(gw.len(), s.cout * s.cin * khkw);
-    debug_assert_eq!(gout.len(), s.batch * s.cout * ohow);
+    assert_eq!(x.len(), s.batch * s.cin * hw, "conv2d x length");
+    assert_eq!(gx.len(), x.len(), "conv2d gx length");
+    assert_eq!(wgt.len(), s.cout * s.cin * khkw, "conv2d w length");
+    assert_eq!(gw.len(), wgt.len(), "conv2d gw length");
+    assert_eq!(gout.len(), s.batch * s.cout * ohow, "conv2d gout length");
+    if conv3x3::applies(s) {
+        conv3x3::backward(level, gx, gw, x, wgt, gout, s, scratch);
+        return;
+    }
     if s.kh == 3 && s.kw == 3 {
-        conv2d_backward_3x3(gx, gw, x, wgt, gout, s, scratch);
+        conv2d_backward_3x3(gx, gw, x, wgt, gout, s);
         return;
     }
     for bi in 0..s.batch {
@@ -926,22 +893,9 @@ struct NzEntry {
     g: f32,
 }
 
-/// Per-output-row processing plan for [`conv2d_backward_3x3`].
-#[derive(Clone, Copy)]
-enum RowPlan {
-    /// Skip (no valid kernel rows, or all gradients zero).
-    Empty,
-    /// Replay `nz[start..end]` entry by entry.
-    Entries { start: u32, end: u32 },
-    /// `stride == 1, pad == 1` interior row, dense enough: process the
-    /// interior columns as full-width axpys/dots (explicit `±0.0` terms
-    /// for the zero gradients — bit-safe), plus inline edge columns.
-    Dense,
-}
-
-/// 3×3 specialization of the backward kernel (the only kernel size the
-/// models here use). Same element-chain orders as the generic path —
-/// and therefore the reference — with these structural cuts:
+/// 3×3 backward for the geometries `conv3x3` does not cover (the
+/// stride-2 encoder convs). Same element-chain orders as the generic
+/// path — and therefore the reference — with these structural cuts:
 ///
 /// * the sparse scan of the output gradient (load, zero-test, interval
 ///   math) happens once per `(bi, co)` into a compact entry list that
@@ -949,13 +903,7 @@ enum RowPlan {
 /// * the nine weights are read into registers per channel, and the nine
 ///   weight-gradient accumulators live in registers across the whole
 ///   position scan (loaded from and stored back to `gw`, preserving the
-///   reference's `(bi, oi, oj)` chain per element);
-/// * rows whose gradient is dense enough take a vectorized path: the
-///   `kj` axpys run over the whole row interior in descending `kj`
-///   order (`oj ascending ⇔ kj descending` per gx element keeps the
-///   reference chain), with `±0.0` contributions included — bit-safe
-///   per the module contract.
-#[allow(clippy::too_many_lines)]
+///   reference's `(bi, oi, oj)` chain per element).
 fn conv2d_backward_3x3(
     gx: &mut [f32],
     gw: &mut [f32],
@@ -963,40 +911,25 @@ fn conv2d_backward_3x3(
     wgt: &[f32],
     gout: &[f32],
     s: &ConvShape,
-    _scratch: &mut ScratchArena,
 ) {
     let (oh, ow) = (s.oh(), s.ow());
     let ohow = oh * ow;
     let hw = s.h * s.w;
     let mut nz: Vec<NzEntry> = Vec::with_capacity(ohow);
-    let mut plans: Vec<RowPlan> = Vec::with_capacity(oh);
     for bi in 0..s.batch {
         let xb = &x[bi * s.cin * hw..][..s.cin * hw];
         let gxb = &mut gx[bi * s.cin * hw..][..s.cin * hw];
         for co in 0..s.cout {
             let gsl = &gout[(bi * s.cout + co) * ohow..][..ohow];
             nz.clear();
-            plans.clear();
             for oi in 0..oh {
                 let base_i = (oi * s.stride) as isize - s.pad as isize;
                 let ki_lo = ((-base_i).max(0) as usize).min(3);
                 let ki_hi = ((s.h as isize - base_i).max(0) as usize).min(3);
                 if ki_lo >= ki_hi {
-                    plans.push(RowPlan::Empty);
                     continue;
                 }
-                let grow = &gsl[oi * ow..][..ow];
-                let interior_ok =
-                    s.stride == 1 && s.pad == 1 && ow == s.w && ow >= 3 && ki_lo == 0 && ki_hi == 3;
-                if interior_ok {
-                    let nnz = grow.iter().filter(|&&g| g != 0.0).count();
-                    if 4 * nnz >= ow {
-                        plans.push(RowPlan::Dense);
-                        continue;
-                    }
-                }
-                let start = nz.len() as u32;
-                for (oj, &g) in grow.iter().enumerate() {
+                for (oj, &g) in gsl[oi * ow..][..ow].iter().enumerate() {
                     if g == 0.0 {
                         continue;
                     }
@@ -1016,10 +949,6 @@ fn conv2d_backward_3x3(
                         g,
                     });
                 }
-                plans.push(RowPlan::Entries {
-                    start,
-                    end: nz.len() as u32,
-                });
             }
             for ci in 0..s.cin {
                 let xc = &xb[ci * hw..][..hw];
@@ -1027,151 +956,370 @@ fn conv2d_backward_3x3(
                 let wbase = (co * s.cin + ci) * 9;
                 let wsl: [f32; 9] = wgt[wbase..wbase + 9].try_into().expect("3x3 kernel");
                 let mut gwacc: [f32; 9] = gw[wbase..wbase + 9].try_into().expect("3x3 kernel");
-                for (oi, plan) in plans.iter().enumerate() {
-                    match *plan {
-                        RowPlan::Empty => {}
-                        RowPlan::Entries { start, end } => {
-                            for e in &nz[start as usize..end as usize] {
-                                let g = e.g;
-                                if e.ki_lo == 0 && e.ki_hi == 3 && e.kj_lo == 0 && e.kj_hi == 3 {
-                                    // Full-interior 3×3 block: straight
-                                    // line, reference (ki, kj) order.
-                                    let mut r0 = (e.base_i as usize) * s.w + e.base_j as usize;
-                                    for wb in [0usize, 3, 6] {
-                                        let xr = &xc[r0..r0 + 3];
-                                        let gxr = &mut gxc[r0..r0 + 3];
-                                        gxr[0] += g * wsl[wb];
-                                        gwacc[wb] += g * xr[0];
-                                        gxr[1] += g * wsl[wb + 1];
-                                        gwacc[wb + 1] += g * xr[1];
-                                        gxr[2] += g * wsl[wb + 2];
-                                        gwacc[wb + 2] += g * xr[2];
-                                        r0 += s.w;
-                                    }
-                                    continue;
-                                }
-                                let span = (e.kj_hi - e.kj_lo) as usize;
-                                for ki in e.ki_lo..e.ki_hi {
-                                    let ii = (e.base_i + i32::from(ki)) as usize;
-                                    let row0 = ii * s.w + (e.base_j + i32::from(e.kj_lo)) as usize;
-                                    let wb = usize::from(ki) * 3 + usize::from(e.kj_lo);
-                                    let gxrow = &mut gxc[row0..row0 + span];
-                                    let xrow = &xc[row0..row0 + span];
-                                    for q in 0..span {
-                                        gxrow[q] += g * wsl[wb + q];
-                                        gwacc[wb + q] += g * xrow[q];
-                                    }
-                                }
-                            }
+                for e in &nz {
+                    let g = e.g;
+                    if e.ki_lo == 0 && e.ki_hi == 3 && e.kj_lo == 0 && e.kj_hi == 3 {
+                        // Full-interior 3×3 block: straight line,
+                        // reference (ki, kj) order.
+                        let mut r0 = (e.base_i as usize) * s.w + e.base_j as usize;
+                        for wb in [0usize, 3, 6] {
+                            let xr = &xc[r0..r0 + 3];
+                            let gxr = &mut gxc[r0..r0 + 3];
+                            gxr[0] += g * wsl[wb];
+                            gwacc[wb] += g * xr[0];
+                            gxr[1] += g * wsl[wb + 1];
+                            gwacc[wb + 1] += g * xr[1];
+                            gxr[2] += g * wsl[wb + 2];
+                            gwacc[wb + 2] += g * xr[2];
+                            r0 += s.w;
                         }
-                        RowPlan::Dense => {
-                            // Interior row, stride 1, pad 1 (oi-th output
-                            // row reads input rows oi-1+ki). A gx element
-                            // jj receives, in the reference's oj-ascending
-                            // order, g[jj-1]·w₂ then g[jj]·w₁ then
-                            // g[jj+1]·w₀ — a 3-tap correlation computed in
-                            // one vectorizable pass. gw is the matching
-                            // 3-chain dot. Zero gradients contribute
-                            // explicit ±0.0 terms (bit-safe).
-                            let grow = &gsl[oi * ow..][..ow];
-                            for ki in 0..3usize {
-                                let gxrow = &mut gxc[(oi + ki - 1) * s.w..][..s.w];
-                                let wb = ki * 3;
-                                let (w0, w1, w2) = (wsl[wb], wsl[wb + 1], wsl[wb + 2]);
-                                gxrow[0] = (gxrow[0] + grow[0] * w1) + grow[1] * w0;
-                                // Interior: the strict SIMD 3-tap stencil
-                                // (taps reversed — correlation, not conv).
-                                simd::dispatch_stencil3(
-                                    true,
-                                    &mut gxrow[1..ow - 1],
-                                    &grow[..ow],
-                                    w2,
-                                    w1,
-                                    w0,
-                                );
-                                gxrow[ow - 1] =
-                                    (gxrow[ow - 1] + grow[ow - 2] * w2) + grow[ow - 1] * w1;
-                            }
-                            // gw: all nine (ki, kj) chains advance in one
-                            // oj pass (oj ascending per chain, as in the
-                            // reference). Each kernel row's three chains
-                            // sit in lanes 0..3 of a 4-lane accumulator
-                            // (lane 3 is a discarded dummy chain), so the
-                            // inner update is a plain lane-wise SIMD
-                            // multiply-add — no chain is ever split.
-                            let x0 = &xc[(oi - 1) * s.w..][..s.w];
-                            let x1 = &xc[oi * s.w..][..s.w];
-                            let x2 = &xc[(oi + 1) * s.w..][..s.w];
-                            let mut a0 = [gwacc[0], gwacc[1], gwacc[2], 0.0];
-                            let mut a1 = [gwacc[3], gwacc[4], gwacc[5], 0.0];
-                            let mut a2 = [gwacc[6], gwacc[7], gwacc[8], 0.0];
-                            let g0 = grow[0];
-                            a0[1] += g0 * x0[0];
-                            a0[2] += g0 * x0[1];
-                            a1[1] += g0 * x1[0];
-                            a1[2] += g0 * x1[1];
-                            a2[1] += g0 * x2[0];
-                            a2[2] += g0 * x2[1];
-                            if ow >= 4 {
-                                for oj in 1..ow - 2 {
-                                    let g = grow[oj];
-                                    let (v0, v1, v2) = (
-                                        &x0[oj - 1..oj + 3],
-                                        &x1[oj - 1..oj + 3],
-                                        &x2[oj - 1..oj + 3],
-                                    );
-                                    for l in 0..4 {
-                                        a0[l] += g * v0[l];
-                                        a1[l] += g * v1[l];
-                                        a2[l] += g * v2[l];
-                                    }
-                                }
-                                let g = grow[ow - 2];
-                                a0[0] += g * x0[ow - 3];
-                                a0[1] += g * x0[ow - 2];
-                                a0[2] += g * x0[ow - 1];
-                                a1[0] += g * x1[ow - 3];
-                                a1[1] += g * x1[ow - 2];
-                                a1[2] += g * x1[ow - 1];
-                                a2[0] += g * x2[ow - 3];
-                                a2[1] += g * x2[ow - 2];
-                                a2[2] += g * x2[ow - 1];
-                            } else {
-                                for oj in 1..ow - 1 {
-                                    let g = grow[oj];
-                                    a0[0] += g * x0[oj - 1];
-                                    a0[1] += g * x0[oj];
-                                    a0[2] += g * x0[oj + 1];
-                                    a1[0] += g * x1[oj - 1];
-                                    a1[1] += g * x1[oj];
-                                    a1[2] += g * x1[oj + 1];
-                                    a2[0] += g * x2[oj - 1];
-                                    a2[1] += g * x2[oj];
-                                    a2[2] += g * x2[oj + 1];
-                                }
-                            }
-                            let gl = grow[ow - 1];
-                            a0[0] += gl * x0[ow - 2];
-                            a0[1] += gl * x0[ow - 1];
-                            a1[0] += gl * x1[ow - 2];
-                            a1[1] += gl * x1[ow - 1];
-                            a2[0] += gl * x2[ow - 2];
-                            a2[1] += gl * x2[ow - 1];
-                            gwacc[0] = a0[0];
-                            gwacc[1] = a0[1];
-                            gwacc[2] = a0[2];
-                            gwacc[3] = a1[0];
-                            gwacc[4] = a1[1];
-                            gwacc[5] = a1[2];
-                            gwacc[6] = a2[0];
-                            gwacc[7] = a2[1];
-                            gwacc[8] = a2[2];
+                        continue;
+                    }
+                    let span = (e.kj_hi - e.kj_lo) as usize;
+                    for ki in e.ki_lo..e.ki_hi {
+                        let ii = (e.base_i + i32::from(ki)) as usize;
+                        let row0 = ii * s.w + (e.base_j + i32::from(e.kj_lo)) as usize;
+                        let wb = usize::from(ki) * 3 + usize::from(e.kj_lo);
+                        let gxrow = &mut gxc[row0..row0 + span];
+                        let xrow = &xc[row0..row0 + span];
+                        for q in 0..span {
+                            gxrow[q] += g * wsl[wb + q];
+                            gwacc[wb + q] += g * xrow[q];
                         }
                     }
                 }
                 gw[wbase..wbase + 9].copy_from_slice(&gwacc);
             }
         }
+    }
+}
+
+/// The direct 3×3, stride-1, pad-1 convolution (the decoder convs) —
+/// forward, `gx` and `gw` — at every SIMD tier.
+///
+/// Forward and `gx` are one kernel, [`Corr3`]: a multi-channel 3×3
+/// correlation over zero-padded source planes with SIMD lanes along
+/// output rows and a `channels × vectors` tile of accumulators held in
+/// registers. The padded copy turns every border position into a full
+/// nine-tap window, so the kernel has no edge cases:
+///
+/// * forward: source = the input, weights as stored; per output element
+///   one partial per input channel (`(ki, kj)` ascending from `+0.0`),
+///   added into the output in `ci` order — the reference grouping.
+/// * `gx`: source = the output gradient, weights transposed to
+///   `[ci][co]` and flipped; one chain per element, `co` ascending, then
+///   `ki` descending, then `kj` descending — the order in which the
+///   reference's `(co, oi, oj)` loops reach it.
+///
+/// `gw` ([`Gw3`]) keeps the reference's `(bi, oi, oj)` chain per weight
+/// with SIMD lanes over input channels, read from a channel-last padded
+/// copy of the input.
+///
+/// Padded taps add `x·(±0.0)` products and the reference's `g == 0`
+/// skip is dropped; both are bit-safe by the module lemma (every chain
+/// starts at `+0.0`, so adding `±0.0` never changes it).
+mod conv3x3 {
+    use super::{simd, ConvShape, ScratchArena, SimdLevel};
+
+    /// Whether `s` is the geometry this kernel covers.
+    pub(super) fn applies(s: &ConvShape) -> bool {
+        s.kh == 3 && s.kw == 3 && s.stride == 1 && s.pad == 1
+    }
+
+    /// One multi-channel 3×3 correlation: for each destination channel
+    /// `c` and position `(r, j)`,
+    /// `dst[c](r, j) (chain)+= Σ_k Σ_t src[k](r + t/3, j + t%3)·wts[c][k][t]`
+    /// with `k` and then `t` ascending. With `partials` each source
+    /// channel's nine products form a partial chain from `+0.0` that is
+    /// then added into `dst`; without, all products extend one chain.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct Corr3 {
+        /// Source channels.
+        pub nch: usize,
+        /// Destination channels.
+        pub nout: usize,
+        /// Source plane stride.
+        pub plane: usize,
+        /// Source row stride (`>= cols + 2`).
+        pub pw: usize,
+        /// Output rows.
+        pub rows: usize,
+        /// Computed columns per row, a multiple of 8.
+        pub cols: usize,
+        /// Destination plane stride.
+        pub dplane: usize,
+        /// Destination row stride (`>= cols`).
+        pub ds: usize,
+        /// Per-source-channel partial chains (forward) or one chain
+        /// (`gx`).
+        pub partials: bool,
+    }
+
+    impl Corr3 {
+        /// Offsets of the nine taps from a window's top-left corner.
+        pub fn taps(&self) -> [usize; 9] {
+            core::array::from_fn(|t| (t / 3) * self.pw + t % 3)
+        }
+    }
+
+    /// The `gw` accumulation for one `(bi, co)`: for each tap `t` and
+    /// channel lane `ci`, `acc[t][ci] (chain)+= g(r, j)·x[ci](r + t/3,
+    /// j + t%3)` over positions `(r, j)` ascending, `x` channel-last and
+    /// zero-padded.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct Gw3 {
+        /// Channel lanes per position (input channels rounded up to the
+        /// tier's vector width; the extra lanes are zero).
+        pub cinp: usize,
+        /// Positions per padded row (`cols + 2`).
+        pub pw: usize,
+        /// Output rows.
+        pub rows: usize,
+        /// Output columns.
+        pub cols: usize,
+    }
+
+    impl Gw3 {
+        /// Offsets of the nine taps, in elements, from a window's
+        /// top-left lane 0.
+        pub fn taps(&self) -> [usize; 9] {
+            core::array::from_fn(|t| ((t / 3) * self.pw + t % 3) * self.cinp)
+        }
+    }
+
+    /// Scalar tier of [`Corr3`]: eight-lane blocks, written so the
+    /// compiler can vectorize the lane loops.
+    pub(super) fn corr3_scalar(g: &Corr3, src: &[f32], wts: &[f32], dst: &mut [f32]) {
+        const L: usize = 8;
+        let taps = g.taps();
+        for c in 0..g.nout {
+            let wc = &wts[c * g.nch * 9..][..g.nch * 9];
+            for r in 0..g.rows {
+                for j in (0..g.cols).step_by(L) {
+                    let d = &mut dst[c * g.dplane + r * g.ds + j..][..L];
+                    let mut acc = [0.0f32; L];
+                    acc.copy_from_slice(d);
+                    for (k, wk) in wc.chunks_exact(9).enumerate() {
+                        let sk = &src[k * g.plane + r * g.pw + j..];
+                        let mut part = if g.partials { [0.0f32; L] } else { acc };
+                        for (&off, &wv) in taps.iter().zip(wk) {
+                            for (p, &xv) in part.iter_mut().zip(&sk[off..off + L]) {
+                                *p += xv * wv;
+                            }
+                        }
+                        if g.partials {
+                            for (a, &p) in acc.iter_mut().zip(&part) {
+                                *a += p;
+                            }
+                        } else {
+                            acc = part;
+                        }
+                    }
+                    d.copy_from_slice(&acc);
+                }
+            }
+        }
+    }
+
+    /// Scalar tier of [`Gw3`] (`cinp` = the input channel count).
+    pub(super) fn gw3_scalar(g: &Gw3, xcl: &[f32], gplane: &[f32], acc: &mut [f32]) {
+        let taps = g.taps();
+        for r in 0..g.rows {
+            for j in 0..g.cols {
+                let gv = gplane[r * g.cols + j];
+                let base = (r * g.pw + j) * g.cinp;
+                for (&off, a) in taps.iter().zip(acc.chunks_exact_mut(g.cinp)) {
+                    for (a, &xv) in a.iter_mut().zip(&xcl[base + off..][..g.cinp]) {
+                        *a += gv * xv;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `(cols, pw, plane)` of the padded planes for an `h × w` image:
+    /// computed columns rounded up to whole vectors, one zero border
+    /// row/column on each side.
+    fn padded(h: usize, w: usize) -> (usize, usize, usize) {
+        let cols = w.next_multiple_of(8);
+        let pw = cols + 2;
+        (cols, pw, (h + 2) * pw)
+    }
+
+    /// Copies `nch` dense `h × w` planes into the interiors of padded
+    /// planes; the zero borders are never written.
+    fn fill_padded(dst: &mut [f32], src: &[f32], h: usize, w: usize, pw: usize, plane: usize) {
+        for (dk, sk) in dst.chunks_exact_mut(plane).zip(src.chunks_exact(h * w)) {
+            for (i, row) in sk.chunks_exact(w).enumerate() {
+                dk[(i + 1) * pw + 1..][..w].copy_from_slice(row);
+            }
+        }
+    }
+
+    /// Runs `g` for one batch item into `out` (`nout` dense `rows × w`
+    /// planes): in place when rows are whole vectors, otherwise through
+    /// `wide`, a copy of `out` with rows padded to `cols`.
+    fn run(
+        level: SimdLevel,
+        mut g: Corr3,
+        w: usize,
+        src: &[f32],
+        wts: &[f32],
+        out: &mut [f32],
+        wide: &mut [f32],
+    ) {
+        if g.cols == w {
+            g.ds = w;
+            g.dplane = g.rows * w;
+            simd::corr3(level, &g, src, wts, out);
+            return;
+        }
+        g.ds = g.cols;
+        g.dplane = g.rows * g.cols;
+        for (wrow, orow) in wide.chunks_exact_mut(g.cols).zip(out.chunks_exact(w)) {
+            wrow[..w].copy_from_slice(orow);
+            wrow[w..].fill(0.0);
+        }
+        simd::corr3(level, &g, src, wts, wide);
+        for (wrow, orow) in wide.chunks_exact(g.cols).zip(out.chunks_exact_mut(w)) {
+            orow.copy_from_slice(&wrow[..w]);
+        }
+    }
+
+    /// Forward pass into a zeroed `out`.
+    pub(super) fn forward(
+        level: SimdLevel,
+        out: &mut [f32],
+        x: &[f32],
+        wgt: &[f32],
+        s: &ConvShape,
+        scratch: &mut ScratchArena,
+    ) {
+        let (h, w) = (s.h, s.w);
+        let hw = h * w;
+        let (cols, pw, plane) = padded(h, w);
+        let mut xpad = scratch.take_zeroed(s.cin * plane);
+        let mut wide = if cols == w {
+            Vec::new()
+        } else {
+            scratch.take_zeroed(s.cout * h * cols)
+        };
+        let g = Corr3 {
+            nch: s.cin,
+            nout: s.cout,
+            plane,
+            pw,
+            rows: h,
+            cols,
+            dplane: 0,
+            ds: 0,
+            partials: true,
+        };
+        for bi in 0..s.batch {
+            fill_padded(
+                &mut xpad,
+                &x[bi * s.cin * hw..][..s.cin * hw],
+                h,
+                w,
+                pw,
+                plane,
+            );
+            let ob = &mut out[bi * s.cout * hw..][..s.cout * hw];
+            run(level, g, w, &xpad, wgt, ob, &mut wide);
+        }
+        scratch.give(xpad);
+        scratch.give(wide);
+    }
+
+    /// Backward pass into zeroed `gx` and `gw`.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn backward(
+        level: SimdLevel,
+        gx: &mut [f32],
+        gw: &mut [f32],
+        x: &[f32],
+        wgt: &[f32],
+        gout: &[f32],
+        s: &ConvShape,
+        scratch: &mut ScratchArena,
+    ) {
+        let (h, w) = (s.h, s.w);
+        let hw = h * w;
+        let (cin, cout) = (s.cin, s.cout);
+        // gx: the padded output gradient against the weights transposed
+        // to [ci][co] and flipped in (ki, kj).
+        let (cols, pw, plane) = padded(h, w);
+        let mut gpad = scratch.take_zeroed(cout * plane);
+        let mut wflip = scratch.take_empty(cin * cout * 9);
+        for ci in 0..cin {
+            for co in 0..cout {
+                let wk = &wgt[(co * cin + ci) * 9..][..9];
+                wflip.extend(wk.iter().rev());
+            }
+        }
+        let mut wide = if cols == w {
+            Vec::new()
+        } else {
+            scratch.take_zeroed(cin * h * cols)
+        };
+        let gx_corr = Corr3 {
+            nch: cout,
+            nout: cin,
+            plane,
+            pw,
+            rows: h,
+            cols,
+            dplane: 0,
+            ds: 0,
+            partials: false,
+        };
+        // gw: channel-last padded input, accumulators [co][tap][cinp].
+        let cinp = cin.next_multiple_of(simd::f32_lanes(level));
+        let gw_plan = Gw3 {
+            cinp,
+            pw: w + 2,
+            rows: h,
+            cols: w,
+        };
+        let mut xcl = scratch.take_zeroed((h + 2) * gw_plan.pw * cinp);
+        let mut gwcl = scratch.take_zeroed(cout * 9 * cinp);
+        for co in 0..cout {
+            for ci in 0..cin {
+                for t in 0..9 {
+                    gwcl[(co * 9 + t) * cinp + ci] = gw[(co * cin + ci) * 9 + t];
+                }
+            }
+        }
+        for bi in 0..s.batch {
+            let gb = &gout[bi * cout * hw..][..cout * hw];
+            fill_padded(&mut gpad, gb, h, w, pw, plane);
+            let gxb = &mut gx[bi * cin * hw..][..cin * hw];
+            run(level, gx_corr, w, &gpad, &wflip, gxb, &mut wide);
+            let xb = &x[bi * cin * hw..][..cin * hw];
+            for (ci, xc) in xb.chunks_exact(hw).enumerate() {
+                for (i, row) in xc.chunks_exact(w).enumerate() {
+                    let base = ((i + 1) * gw_plan.pw + 1) * cinp + ci;
+                    for (j, &xv) in row.iter().enumerate() {
+                        xcl[base + j * cinp] = xv;
+                    }
+                }
+            }
+            for (gplane, acc) in gb.chunks_exact(hw).zip(gwcl.chunks_exact_mut(9 * cinp)) {
+                simd::gw3(level, &gw_plan, &xcl, gplane, acc);
+            }
+        }
+        for co in 0..cout {
+            for ci in 0..cin {
+                for t in 0..9 {
+                    gw[(co * cin + ci) * 9 + t] = gwcl[(co * 9 + t) * cinp + ci];
+                }
+            }
+        }
+        scratch.give(gpad);
+        scratch.give(wflip);
+        scratch.give(wide);
+        scratch.give(xcl);
+        scratch.give(gwcl);
     }
 }
 

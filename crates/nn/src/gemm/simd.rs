@@ -12,7 +12,8 @@
 //! variable (requests above the detected capability are clamped with a
 //! warning on stderr — never silently honored). Benches and tests can
 //! override in-process with [`set_simd_level`] or bypass the global state
-//! entirely through the per-level [`gemm_nn_at`]-family entry points.
+//! entirely through the per-level [`gemm_nn_at`]-family entry points (and
+//! `conv2d_forward_at` / `conv2d_backward_at` in the parent module).
 //!
 //! Dispatch happens per *block call* (one branch on a relaxed atomic
 //! load), never inside an inner loop, and shapes whose vectorized axis is
@@ -31,9 +32,9 @@
 //!   kernels may fuse multiply-adds and split reduction chains across
 //!   lanes/accumulators (the NT kernel becomes a wide FMA dot product).
 //!   Results are tolerance-equivalent, not bit-identical; the equivalence
-//!   suite lives in `cv-tests/compute_core.rs`. The conv stencils and the
-//!   conv im2col lowering stay strict even in relaxed mode, so Contract 9
-//!   for convolution holds unconditionally.
+//!   suite lives in `cv-tests/compute_core.rs`. The direct 3×3 conv
+//!   kernels and the conv im2col lowering stay strict even in relaxed
+//!   mode, so Contract 9 for convolution holds unconditionally.
 //!
 //! # Safety argument
 //!
@@ -53,6 +54,7 @@
 //!    dimension asserts) before the pointers are formed, and `&mut`
 //!    borrow rules guarantee output/input slices never alias.
 
+use super::conv3x3::{Corr3, Gw3};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -300,11 +302,18 @@ pub(super) fn dispatch_nn(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: us
     );
 }
 
-/// NN row block at the active tier, strict mode regardless of the
-/// relaxed toggle — the conv im2col lowering uses this so convolution
-/// stays bit-exact (Contract 9) even when GEMM has opted into relaxed.
-pub(super) fn dispatch_nn_strict(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-    nn_run(level_for_width(simd_level(), n), false, out, a, b, k, n);
+/// NN row block at tier `level`, strict mode regardless of the relaxed
+/// toggle — the conv im2col lowering uses this so convolution stays
+/// bit-exact (Contract 9) even when GEMM has opted into relaxed.
+pub(super) fn dispatch_nn_strict(
+    level: SimdLevel,
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+) {
+    nn_run(level_for_width(level, n), false, out, a, b, k, n);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -393,71 +402,70 @@ pub(super) fn dispatch_nt(out: &mut [f32], g: &[f32], b: &[f32], n: usize, kk: u
     super::nt_block_scalar(out, g, b, n, kk);
 }
 
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn stencil3_run(
-    level: SimdLevel,
-    acc: bool,
-    dst: &mut [f32],
-    src: &[f32],
-    t0: f32,
-    t1: f32,
-    t2: f32,
-) {
+/// f32 lanes per vector register at `level` (1 for the scalar tier).
+pub(super) fn f32_lanes(level: SimdLevel) -> usize {
     match level {
-        SimdLevel::Scalar => stencil3_scalar(acc, dst, src, t0, t1, t2),
+        SimdLevel::Scalar => 1,
+        SimdLevel::Sse2 => 4,
+        SimdLevel::Avx2 => 8,
+    }
+}
+
+/// The 3×3 correlation of the direct conv kernel at tier `level` —
+/// **always strict** (every tier reproduces the scalar chains).
+///
+/// # Panics
+///
+/// Panics if the slices are too short for the geometry `g`.
+pub(super) fn corr3(level: SimdLevel, g: &Corr3, src: &[f32], wts: &[f32], dst: &mut [f32]) {
+    assert!(
+        g.cols % 8 == 0 && g.pw >= g.cols + 2 && g.ds >= g.cols,
+        "corr3: row geometry"
+    );
+    assert!(
+        g.plane >= (g.rows + 2) * g.pw && src.len() >= g.nch * g.plane,
+        "corr3: source planes"
+    );
+    assert!(
+        g.dplane >= g.rows * g.ds && dst.len() >= g.nout * g.dplane,
+        "corr3: destination planes"
+    );
+    assert!(wts.len() >= g.nout * g.nch * 9, "corr3: weights");
+    match level {
+        SimdLevel::Scalar => super::conv3x3::corr3_scalar(g, src, wts, dst),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::stencil3_sse2(acc, dst, src, t0, t1, t2),
+        SimdLevel::Sse2 => x86::corr3_sse2(g, src, wts, dst),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as for NN — Avx2 implies a successful runtime probe.
-        SimdLevel::Avx2 => unsafe { x86::stencil3_avx2(acc, dst, src, t0, t1, t2) },
+        SimdLevel::Avx2 => unsafe { x86::corr3_avx2(g, src, wts, dst) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("non-scalar SIMD level on a non-x86-64 build"),
     }
 }
 
-/// 3-tap stencil `dst[i] (+)= src[i]·t0 + src[i+1]·t1 + src[i+2]·t2` at
-/// the active tier — **always strict** (every tier is bit-identical; the
-/// relaxed toggle is ignored), preserving the conv fused-path chains
-/// `((d + s0·t0) + s1·t1) + s2·t2` (acc) and `(s0·t0 + s1·t1) + s2·t2`
-/// (set).
+/// The `gw` accumulation of the direct conv kernel at tier `level` —
+/// always strict. `g.cinp` must be a multiple of [`f32_lanes`].
 ///
 /// # Panics
 ///
-/// Panics unless `src.len() >= dst.len() + 2`.
-pub(super) fn dispatch_stencil3(
-    acc: bool,
-    dst: &mut [f32],
-    src: &[f32],
-    t0: f32,
-    t1: f32,
-    t2: f32,
-) {
+/// Panics if the slices are too short for the geometry `g`.
+pub(super) fn gw3(level: SimdLevel, g: &Gw3, xcl: &[f32], gplane: &[f32], acc: &mut [f32]) {
     assert!(
-        src.len() >= dst.len() + 2,
-        "stencil3: src shorter than dst+2"
+        g.cinp % f32_lanes(level) == 0 && g.pw >= g.cols + 2,
+        "gw3: lane geometry"
     );
-    stencil3_run(
-        level_for_width(simd_level(), dst.len()),
-        acc,
-        dst,
-        src,
-        t0,
-        t1,
-        t2,
-    );
-}
-
-/// The scalar 3-tap stencil, written exactly like the conv fused-path
-/// interior loops it replaces (same per-element chains).
-fn stencil3_scalar(acc: bool, dst: &mut [f32], src: &[f32], t0: f32, t1: f32, t2: f32) {
-    if acc {
-        for (i, d) in dst.iter_mut().enumerate() {
-            *d = ((*d + src[i] * t0) + src[i + 1] * t1) + src[i + 2] * t2;
-        }
-    } else {
-        for (i, d) in dst.iter_mut().enumerate() {
-            *d = (src[i] * t0 + src[i + 1] * t1) + src[i + 2] * t2;
-        }
+    assert!(xcl.len() >= (g.rows + 2) * g.pw * g.cinp, "gw3: input");
+    assert!(gplane.len() >= g.rows * g.cols, "gw3: gradient plane");
+    assert!(acc.len() >= 9 * g.cinp, "gw3: accumulators");
+    match level {
+        SimdLevel::Scalar => super::conv3x3::gw3_scalar(g, xcl, gplane, acc),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse2 => x86::gw3_sse2(g, xcl, gplane, acc),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as for NN — Avx2 implies a successful runtime probe.
+        SimdLevel::Avx2 => unsafe { x86::gw3_avx2(g, xcl, gplane, acc) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("non-scalar SIMD level on a non-x86-64 build"),
     }
 }
 
@@ -586,32 +594,13 @@ pub fn gemm_tn_at(
     tn_run(level, mode == KernelMode::Relaxed, out, a, g, 0, m, k, n);
 }
 
-/// The conv 3-tap stencil through one specific tier (always strict);
-/// `acc` selects the accumulating form. See `dispatch_stencil3` for
-/// the chain shapes.
-///
-/// # Panics
-///
-/// Panics if `level` is unsupported or `src.len() < dst.len() + 2`.
-pub fn stencil3_at(level: SimdLevel, acc: bool, dst: &mut [f32], src: &[f32], taps: [f32; 3]) {
-    assert!(
-        level.is_supported(),
-        "SIMD level {:?} unsupported here",
-        level
-    );
-    assert!(
-        src.len() >= dst.len() + 2,
-        "stencil3: src shorter than dst+2"
-    );
-    stencil3_run(level, acc, dst, src, taps[0], taps[1], taps[2]);
-}
-
 // ---------------------------------------------------------------------
 // x86-64 kernel bodies
 // ---------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::{Corr3, Gw3};
     use core::arch::x86_64::*;
 
     /// Lane-width abstraction over the x86-64 f32 vector ISAs. The
@@ -1015,54 +1004,165 @@ mod x86 {
     }
 
     // -----------------------------------------------------------------
-    // 3-tap stencil
+    // Direct 3×3 conv kernels
     // -----------------------------------------------------------------
 
-    /// Vectorized conv 3-tap stencil: three shifted unaligned loads per
-    /// tile, per-element chain identical to the scalar fused paths
-    /// (separate mul/add — always strict).
+    /// One register tile of [`Corr3`]: `CB` destination channels × `NV`
+    /// vectors at source offsets `soff` / destination offsets `doff`.
+    /// Lanes and tile entries carry independent chains; each chain is
+    /// the scalar tier's, with separate multiply and add.
     ///
-    /// Safety: `src` must be valid for `dst.len() + 2` reads (asserted
-    /// by every dispatch wrapper); `dst`/`src` cannot alias (distinct
-    /// `&mut`/`&` borrows).
+    /// Safety: `src`, `wts`, `dst` point at the tile's first channel and
+    /// every tap of every vector lies inside the slices checked by
+    /// `super::corr3`.
     #[inline(always)]
-    unsafe fn stencil3_v<V: VecF32, const ACC: bool>(
-        dst: &mut [f32],
-        src: &[f32],
-        t0: f32,
-        t1: f32,
-        t2: f32,
+    unsafe fn corr3_tile<V: VecF32, const CB: usize, const NV: usize, const P: bool>(
+        g: &Corr3,
+        taps: &[usize; 9],
+        src: *const f32,
+        wts: *const f32,
+        dst: *mut f32,
+        soff: [usize; NV],
+        doff: [usize; NV],
     ) {
-        let len = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let v0 = V::splat(t0);
-        let v1 = V::splat(t1);
-        let v2 = V::splat(t2);
-        let mut i = 0;
-        while i + V::LANES <= len {
-            let s0 = V::loadu(sp.add(i));
-            let s1 = V::loadu(sp.add(i + 1));
-            let s2 = V::loadu(sp.add(i + 2));
-            let r = if ACC {
-                V::add(
-                    V::add(V::add(V::loadu(dp.add(i)), V::mul(s0, v0)), V::mul(s1, v1)),
-                    V::mul(s2, v2),
-                )
-            } else {
-                V::add(V::add(V::mul(s0, v0), V::mul(s1, v1)), V::mul(s2, v2))
-            };
-            V::storeu(dp.add(i), r);
-            i += V::LANES;
+        let wstride = g.nch * 9;
+        let mut acc = [[V::zero(); NV]; CB];
+        for (c, row) in acc.iter_mut().enumerate() {
+            for (a, &d) in row.iter_mut().zip(&doff) {
+                *a = V::loadu(dst.add(c * g.dplane + d));
+            }
         }
-        while i < len {
-            let (s0, s1, s2) = (*sp.add(i), *sp.add(i + 1), *sp.add(i + 2));
-            *dp.add(i) = if ACC {
-                ((*dp.add(i) + s0 * t0) + s1 * t1) + s2 * t2
+        for k in 0..g.nch {
+            let sk = src.add(k * g.plane);
+            let wk = wts.add(k * 9);
+            let mut part = if P { [[V::zero(); NV]; CB] } else { acc };
+            for (t, &off) in taps.iter().enumerate() {
+                let mut xs = [V::zero(); NV];
+                for (xv, &so) in xs.iter_mut().zip(&soff) {
+                    *xv = V::loadu(sk.add(so + off));
+                }
+                for (c, row) in part.iter_mut().enumerate() {
+                    let wv = V::splat(*wk.add(c * wstride + t));
+                    for (p, &xv) in row.iter_mut().zip(&xs) {
+                        *p = V::add(*p, V::mul(xv, wv));
+                    }
+                }
+            }
+            if P {
+                for (arow, prow) in acc.iter_mut().zip(&part) {
+                    for (a, &p) in arow.iter_mut().zip(prow) {
+                        *a = V::add(*a, p);
+                    }
+                }
             } else {
-                (s0 * t0 + s1 * t1) + s2 * t2
-            };
-            i += 1;
+                acc = part;
+            }
+        }
+        for (c, row) in acc.iter().enumerate() {
+            for (&a, &d) in row.iter().zip(&doff) {
+                V::storeu(dst.add(c * g.dplane + d), a);
+            }
+        }
+    }
+
+    /// All vectors of `CB` destination channels, `NV` at a time (single
+    /// vectors for the remainder). Vectors run row-major over the
+    /// `rows × cols` output.
+    ///
+    /// Safety: as [`corr3_tile`].
+    #[inline(always)]
+    unsafe fn corr3_block<V: VecF32, const CB: usize, const NV: usize, const P: bool>(
+        g: &Corr3,
+        taps: &[usize; 9],
+        src: *const f32,
+        wts: *const f32,
+        dst: *mut f32,
+    ) {
+        let vpr = g.cols / V::LANES;
+        let nvec = g.rows * vpr;
+        let offs = |q: usize| {
+            let (r, j) = (q / vpr, (q % vpr) * V::LANES);
+            (r * g.pw + j, r * g.ds + j)
+        };
+        let mut q = 0;
+        while q + NV <= nvec {
+            let mut soff = [0; NV];
+            let mut doff = [0; NV];
+            for v in 0..NV {
+                (soff[v], doff[v]) = offs(q + v);
+            }
+            corr3_tile::<V, CB, NV, P>(g, taps, src, wts, dst, soff, doff);
+            q += NV;
+        }
+        while q < nvec {
+            let (so, d) = offs(q);
+            corr3_tile::<V, CB, 1, P>(g, taps, src, wts, dst, [so], [d]);
+            q += 1;
+        }
+    }
+
+    /// [`Corr3`] over all destination channels: tiles of 4×2, 2×4 or
+    /// 1×8 (channels × vectors), eight accumulators in flight.
+    ///
+    /// Safety: as [`corr3_tile`], for the whole geometry.
+    #[inline(always)]
+    unsafe fn corr3_v<V: VecF32, const P: bool>(
+        g: &Corr3,
+        src: &[f32],
+        wts: &[f32],
+        dst: &mut [f32],
+    ) {
+        let taps = g.taps();
+        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+        let mut c = 0;
+        while c < g.nout {
+            let w = wts.as_ptr().add(c * g.nch * 9);
+            let d = dp.add(c * g.dplane);
+            match g.nout - c {
+                1 => {
+                    corr3_block::<V, 1, 8, P>(g, &taps, sp, w, d);
+                    c += 1;
+                }
+                2 | 3 => {
+                    corr3_block::<V, 2, 4, P>(g, &taps, sp, w, d);
+                    c += 2;
+                }
+                _ => {
+                    corr3_block::<V, 4, 2, P>(g, &taps, sp, w, d);
+                    c += 4;
+                }
+            }
+        }
+    }
+
+    /// [`Gw3`] with SIMD lanes over input channels: nine accumulators
+    /// (one per tap) per lane block, held across the whole position scan.
+    ///
+    /// Safety: `g.cinp` is a multiple of `V::LANES` and the slices
+    /// cover the geometry (checked by `super::gw3`).
+    #[inline(always)]
+    unsafe fn gw3_v<V: VecF32>(g: &Gw3, xcl: &[f32], gplane: &[f32], acc: &mut [f32]) {
+        let taps = g.taps();
+        let ap = acc.as_mut_ptr();
+        for cv in (0..g.cinp).step_by(V::LANES) {
+            let mut a = [V::zero(); 9];
+            for (t, av) in a.iter_mut().enumerate() {
+                *av = V::loadu(ap.add(t * g.cinp + cv));
+            }
+            for r in 0..g.rows {
+                let grow = gplane.as_ptr().add(r * g.cols);
+                let xrow = xcl.as_ptr().add(r * g.pw * g.cinp + cv);
+                for j in 0..g.cols {
+                    let gs = V::splat(*grow.add(j));
+                    let base = xrow.add(j * g.cinp);
+                    for (av, &off) in a.iter_mut().zip(&taps) {
+                        *av = V::add(*av, V::mul(gs, V::loadu(base.add(off))));
+                    }
+                }
+            }
+            for (t, &av) in a.iter().enumerate() {
+                V::storeu(ap.add(t * g.cinp + cv), av);
+            }
         }
     }
 
@@ -1204,21 +1304,13 @@ mod x86 {
         nt_dot_v::<Avx2>(out, g, b, n, kk);
     }
 
-    pub(super) fn stencil3_sse2(
-        acc: bool,
-        dst: &mut [f32],
-        src: &[f32],
-        t0: f32,
-        t1: f32,
-        t2: f32,
-    ) {
-        debug_assert!(src.len() >= dst.len() + 2);
-        // SAFETY: baseline ISA; src length asserted by every caller.
+    pub(super) fn corr3_sse2(g: &Corr3, src: &[f32], wts: &[f32], dst: &mut [f32]) {
+        // SAFETY: baseline ISA; bounds checked by `super::corr3`.
         unsafe {
-            if acc {
-                stencil3_v::<Sse2, true>(dst, src, t0, t1, t2);
+            if g.partials {
+                corr3_v::<Sse2, true>(g, src, wts, dst);
             } else {
-                stencil3_v::<Sse2, false>(dst, src, t0, t1, t2);
+                corr3_v::<Sse2, false>(g, src, wts, dst);
             }
         }
     }
@@ -1227,20 +1319,25 @@ mod x86 {
     ///
     /// Requires runtime-detected `avx2` and `fma`.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn stencil3_avx2(
-        acc: bool,
-        dst: &mut [f32],
-        src: &[f32],
-        t0: f32,
-        t1: f32,
-        t2: f32,
-    ) {
-        debug_assert!(src.len() >= dst.len() + 2);
-        if acc {
-            stencil3_v::<Avx2, true>(dst, src, t0, t1, t2);
+    pub(super) unsafe fn corr3_avx2(g: &Corr3, src: &[f32], wts: &[f32], dst: &mut [f32]) {
+        if g.partials {
+            corr3_v::<Avx2, true>(g, src, wts, dst);
         } else {
-            stencil3_v::<Avx2, false>(dst, src, t0, t1, t2);
+            corr3_v::<Avx2, false>(g, src, wts, dst);
         }
+    }
+
+    pub(super) fn gw3_sse2(g: &Gw3, xcl: &[f32], gplane: &[f32], acc: &mut [f32]) {
+        // SAFETY: baseline ISA; bounds checked by `super::gw3`.
+        unsafe { gw3_v::<Sse2>(g, xcl, gplane, acc) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires runtime-detected `avx2` and `fma`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn gw3_avx2(g: &Gw3, xcl: &[f32], gplane: &[f32], acc: &mut [f32]) {
+        gw3_v::<Avx2>(g, xcl, gplane, acc);
     }
 }
 
@@ -1397,28 +1494,6 @@ mod tests {
                         .all(|(x, y)| x.to_bits() == y.to_bits()),
                     "tn {level:?} ({m},{k},{n})"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn stencil_levels_are_bit_identical() {
-        for len in [0usize, 1, 2, 3, 5, 8, 13, 31, 64, 100] {
-            let src = vals(len + 2, 31);
-            let taps = [0.5f32, -1.25, 2.0];
-            for acc in [false, true] {
-                let mut base = vals(len, 32);
-                stencil3_at(SimdLevel::Scalar, acc, &mut base, &src, taps);
-                for level in supported() {
-                    let mut out = vals(len, 32);
-                    stencil3_at(level, acc, &mut out, &src, taps);
-                    assert!(
-                        out.iter()
-                            .zip(&base)
-                            .all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "stencil {level:?} len={len} acc={acc}"
-                    );
-                }
             }
         }
     }

@@ -108,12 +108,13 @@ proptest! {
         }
     }
 
-    /// The im2col/shifted-plane conv forward and the fused backward are
-    /// bit-identical to the retained direct kernels across geometries
-    /// (strides 1–2, pads 0–2, kernels 1–4, empty batches).
+    /// The direct 3×3 kernel, the im2col forward and the fused backward
+    /// are bit-identical to the retained direct kernels across
+    /// geometries (strides 1–2, pads 0–2, kernels 1–4, empty batches,
+    /// widths up to 40: whole 8-lane tiles plus tails).
     #[test]
     fn conv_kernels_match_reference_bitwise(
-        geom in (0usize..3, 1usize..4, 1usize..9, 1usize..9),
+        geom in (0usize..3, 1usize..4, 1usize..9, 1usize..41),
         kern in (1usize..4, 1usize..5, 1usize..3, 0usize..3),
         seed in 0u64..1_000_000,
     ) {
@@ -145,26 +146,27 @@ proptest! {
     }
 
     /// 3×3 stride-1/2 geometries with ReLU-like sparse gradients — the
-    /// exact regime the dense-row/entry-list specializations target.
+    /// exact regime the direct-kernel and entry-list paths target.
     #[test]
     fn conv3x3_sparse_gradients_match_reference_bitwise(
-        geom in (1usize..3, 1usize..4, 3usize..12, 1usize..3),
+        geom in (1usize..3, 1usize..4, 3usize..12, 3usize..41),
+        stride in 1usize..3,
         density in 0usize..4,
         seed in 0u64..1_000_000,
     ) {
-        let (batch, cin, hw_dim, stride) = geom;
+        let (batch, cin, h, w) = geom;
         let s = ConvShape {
             batch,
             cin,
-            h: hw_dim,
-            w: hw_dim,
+            h,
+            w,
             cout: 2,
             kh: 3,
             kw: 3,
             stride,
             pad: 1,
         };
-        let x = vals(batch * cin * hw_dim * hw_dim, seed);
+        let x = vals(batch * cin * h * w, seed);
         let wgt = vals(2 * cin * 9, seed + 1);
         let out_len = batch * 2 * s.oh() * s.ow();
         let mut rng = StdRng::seed_from_u64(seed + 2);
@@ -188,17 +190,59 @@ proptest! {
     }
 }
 
-/// Pinned floor: the exact model geometries the width-32 CNN uses.
+/// ReLU-sparse values with signed zeros: about half the entries are
+/// `+0.0` or `-0.0`, the rest drawn like [`vals`].
+fn relu_sparse(n: usize, seed: u64) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+    vals(n, seed)
+        .into_iter()
+        .map(|v| match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => v,
+        })
+        .collect()
+}
+
+/// Forward and backward of one geometry through the per-level entries
+/// at every supported SIMD level, against the reference.
+fn conv_case_at_every_level(s: &ConvShape, x: &[f32], wgt: &[f32], gout: &[f32], what: &str) {
+    let out_len = s.batch * s.cout * s.oh() * s.ow();
+    let mut naive = vec![0.0f32; out_len];
+    reference::conv2d_forward(&mut naive, x, wgt, s);
+    let (mut gx_n, mut gw_n) = (vec![0.0f32; x.len()], vec![0.0f32; wgt.len()]);
+    reference::conv2d_backward(&mut gx_n, &mut gw_n, x, wgt, gout, s);
+    let mut scratch = ScratchArena::new();
+    for level in supported_levels() {
+        let tag = format!("{what} {s:?} {}", level.name());
+        let mut fast = vec![0.0f32; out_len];
+        gemm::conv2d_forward_at(level, &mut fast, x, wgt, s, &mut scratch);
+        assert_bits_eq(&fast, &naive, &format!("forward {tag}"));
+        let (mut gx_f, mut gw_f) = (vec![0.0f32; x.len()], vec![0.0f32; wgt.len()]);
+        gemm::conv2d_backward_at(level, &mut gx_f, &mut gw_f, x, wgt, gout, s, &mut scratch);
+        assert_bits_eq(&gx_f, &gx_n, &format!("backward gx {tag}"));
+        assert_bits_eq(&gw_f, &gw_n, &format!("backward gw {tag}"));
+    }
+}
+
+/// Pinned floor: the exact conv geometries of the CNN models at the
+/// real training chunk (batch 16) — width 32, plus widths 26 and 31
+/// whose odd planes (13, 31) take the crop path and tail lanes — with
+/// post-ReLU inputs and ReLU-sparse gradients, at every SIMD level.
 #[test]
 fn model_conv_geometries_match_reference_bitwise() {
     for &(cin, cout, hw_dim, stride) in &[
-        (1usize, 6usize, 32usize, 2usize), // encoder conv1
-        (6, 12, 16, 2),                    // encoder conv2
-        (12, 6, 16, 1),                    // decoder conv1
-        (6, 1, 32, 1),                     // decoder conv2
+        (1usize, 6usize, 32usize, 2usize), // w32 encoder conv1
+        (6, 12, 16, 2),                    // w32 encoder conv2
+        (12, 6, 16, 1),                    // w32 decoder conv1
+        (6, 1, 32, 1),                     // w32 decoder conv2
+        (8, 4, 13, 1),                     // w26 decoder conv1
+        (4, 1, 26, 1),                     // w26 decoder conv2
+        (12, 6, 31, 1),                    // odd plane, 12 channels
+        (6, 1, 31, 1),                     // w31 decoder conv2
     ] {
         let s = ConvShape {
-            batch: 3,
+            batch: 16,
             cin,
             h: hw_dim,
             w: hw_dim,
@@ -208,22 +252,37 @@ fn model_conv_geometries_match_reference_bitwise() {
             stride,
             pad: 1,
         };
-        let x = vals(3 * cin * hw_dim * hw_dim, 7);
+        let x: Vec<f32> = relu_sparse(16 * cin * hw_dim * hw_dim, 7)
+            .into_iter()
+            .map(|v| v.max(0.0))
+            .collect();
         let wgt = vals(cout * cin * 9, 8);
-        let out_len = 3 * cout * s.oh() * s.ow();
-        let gout = vals(out_len, 9);
-        let mut scratch = ScratchArena::new();
-        let mut fast = vec![0.0f32; out_len];
-        let mut naive = vec![0.0f32; out_len];
-        gemm::conv2d_forward_into(&mut fast, &x, &wgt, &s, &mut scratch);
-        reference::conv2d_forward(&mut naive, &x, &wgt, &s);
-        assert_bits_eq(&fast, &naive, "model conv forward");
-        let (mut gx_f, mut gw_f) = (vec![0.0f32; x.len()], vec![0.0f32; wgt.len()]);
-        let (mut gx_n, mut gw_n) = (vec![0.0f32; x.len()], vec![0.0f32; wgt.len()]);
-        gemm::conv2d_backward_into(&mut gx_f, &mut gw_f, &x, &wgt, &gout, &s, &mut scratch);
-        reference::conv2d_backward(&mut gx_n, &mut gw_n, &x, &wgt, &gout, &s);
-        assert_bits_eq(&gx_f, &gx_n, "model conv backward gx");
-        assert_bits_eq(&gw_f, &gw_n, "model conv backward gw");
+        let gout = relu_sparse(16 * cout * s.oh() * s.ow(), 9);
+        conv_case_at_every_level(&s, &x, &wgt, &gout, "model");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Contract 12 for convolution: every SIMD level's direct 3×3 kernel
+    /// (and the im2col/entry-list paths for stride 2) reproduces the
+    /// reference bits through the race-free per-level entries, across
+    /// widths straddling whole 8-lane tiles and their tails, with
+    /// ReLU-sparse signed-zero gradients.
+    #[test]
+    fn conv_simd_levels_match_reference_bitwise(
+        geom in (0usize..3, 1usize..14, 1usize..8, 1usize..41),
+        cout in 1usize..7,
+        stride in 1usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let (batch, cin, h, w) = geom;
+        let s = ConvShape { batch, cin, h, w, cout, kh: 3, kw: 3, stride, pad: 1 };
+        let x = vals(batch * cin * h * w, seed);
+        let wgt = vals(cout * cin * 9, seed + 1);
+        let gout = relu_sparse(batch * cout * s.oh() * s.ow(), seed + 2);
+        conv_case_at_every_level(&s, &x, &wgt, &gout, "proptest");
     }
 }
 
@@ -326,29 +385,6 @@ proptest! {
             let mut got = vec![0.0f32; k * n];
             gemm::gemm_tn_at(level, KernelMode::Strict, &mut got, &a, &g2, m, k, n);
             assert_bits_eq(&got, &want, &format!("tn strict {}", level.name()));
-        }
-    }
-
-    /// The conv 3-tap stencil is always strict: every level reproduces
-    /// the scalar chain bit-for-bit, in both accumulate and set modes,
-    /// across lengths straddling the vector width and its tails.
-    #[test]
-    fn stencil_simd_levels_match_scalar_bitwise(
-        len in 0usize..64,
-        extra in 0usize..5,
-        acc in any::<bool>(),
-        seed in 0u64..1_000_000,
-    ) {
-        let src = vals(len + 2 + extra, seed);
-        let taps_v = vals(3, seed + 1);
-        let taps = [taps_v[0], taps_v[1], taps_v[2]];
-        let init = vals(len, seed + 2);
-        let mut want = init.clone();
-        gemm::stencil3_at(SimdLevel::Scalar, acc, &mut want, &src, taps);
-        for level in supported_levels() {
-            let mut got = init.clone();
-            gemm::stencil3_at(level, acc, &mut got, &src, taps);
-            assert_bits_eq(&got, &want, &format!("stencil3 {} acc={acc}", level.name()));
         }
     }
 
@@ -520,7 +556,7 @@ fn tiny_and_ragged_shapes_are_exact_at_every_level() {
     gemm::set_simd_level(entry);
 }
 
-/// The conv pipeline (im2col forward, fused 3-tap backward) is
+/// The conv pipeline (direct 3×3 kernel, im2col forward, entry lists) is
 /// bit-identical to the direct reference at every supported SIMD level
 /// — conv is always strict under Contract 12, no opt-out.
 #[test]

@@ -16,6 +16,7 @@ use circuitvae::driver::{
     StepStatus,
 };
 use cv_nn::{AdamConfig, Graph, Mlp, ParamStore, Tensor};
+use cv_prefix::grid::{MAX_WIDTH, MIN_WIDTH};
 use cv_prefix::{bitvec, mutate, topologies, PrefixGrid};
 use cv_synth::ckpt::{CkptError, Dec, Enc};
 use cv_synth::CachedEvaluator;
@@ -450,6 +451,9 @@ impl Checkpointable for RlDriver<StdRng> {
     fn load(bytes: &[u8]) -> Result<Self, CkptError> {
         let mut dec = Dec::with_magic(bytes, MAGIC)?;
         let width = dec.usize()?;
+        if !(MIN_WIDTH..=MAX_WIDTH).contains(&width) {
+            return Err(CkptError::Invalid("width"));
+        }
         let config = RlConfig {
             hidden: dec.usize()?,
             episode_len: dec.usize()?,
@@ -462,6 +466,9 @@ impl Checkpointable for RlDriver<StdRng> {
             eps_end: dec.f64()?,
             lr: dec.f32()?,
         };
+        if config.replay_capacity == 0 {
+            return Err(CkptError::Invalid("replay capacity"));
+        }
         let budget = dec.usize()?;
         let used = dec.usize()?;
         let store =
@@ -469,7 +476,10 @@ impl Checkpointable for RlDriver<StdRng> {
         let target_store = ParamStore::from_values_bytes(dec.bytes()?)
             .map_err(|_| CkptError::Invalid("target store"))?;
         let n = dec.seq_len()?;
-        let mut replay = Vec::with_capacity(n.max(config.replay_capacity));
+        if n > config.replay_capacity {
+            return Err(CkptError::Invalid("replay length"));
+        }
+        let mut replay = Vec::with_capacity(n);
         for _ in 0..n {
             replay.push(Transition {
                 state: dec.f32s()?,
@@ -480,6 +490,9 @@ impl Checkpointable for RlDriver<StdRng> {
             });
         }
         let replay_head = dec.usize()?;
+        if replay_head >= config.replay_capacity {
+            return Err(CkptError::Invalid("replay head"));
+        }
         let tracker = BestTracker::read_ckpt(&mut dec)?;
         let train_steps = dec.usize()?;
         let env_steps = dec.usize()?;
@@ -493,6 +506,14 @@ impl Checkpointable for RlDriver<StdRng> {
         let outcome = read_opt_outcome(&mut dec)?;
         dec.finish()?;
         let actions = (width - 1) * (width - 2) / 2;
+        // The network's weight matrices are stored in `store`, whose size
+        // the input bytes bound: a `hidden` they cannot hold is forged,
+        // and must be rejected before `build_qnet` allocates it.
+        let held = store.scalar_count();
+        let fits = |a: usize, b: usize| a.checked_mul(b).is_some_and(|m| m <= held);
+        if !fits(width * width, config.hidden) || !fits(config.hidden, config.hidden.max(actions)) {
+            return Err(CkptError::Invalid("network dimensions"));
+        }
         let free_cells: Vec<(usize, usize)> = PrefixGrid::free_cells(width).collect();
         // Rebuild the network handles with a throwaway store/RNG: layer
         // registration order is deterministic, so the fresh ParamIds
@@ -597,6 +618,72 @@ mod tests {
             }
         }
         assert!(a.train_steps >= 2 * config.target_sync + 25 / 2);
+    }
+
+    /// A real checkpoint with one field forged through `edit` (the
+    /// fields are written verbatim by `save`).
+    fn forged(bytes: &[u8], edit: impl FnOnce(&mut RlDriver<StdRng>)) -> Vec<u8> {
+        let mut d = RlDriver::load(bytes).expect("valid checkpoint");
+        edit(&mut d);
+        d.save()
+    }
+
+    #[test]
+    fn forged_replay_and_width_fields_are_errors_not_aborts() {
+        let config = RlConfig {
+            hidden: 8,
+            episode_len: 4,
+            replay_capacity: 6,
+            batch_size: 2,
+            ..RlConfig::default()
+        };
+        let ev = evaluator(6);
+        let mut d = RlDriver::new(6, config, 40, 3);
+        for _ in 0..12 {
+            d.step(&ev);
+        }
+        assert_eq!(d.replay.len(), 6, "the replay ring has wrapped");
+        let bytes = d.save();
+        let again = RlDriver::load(&bytes).expect("valid checkpoint loads");
+        assert_eq!(again.save(), bytes, "valid checkpoints re-encode exactly");
+
+        let huge = usize::MAX / 4;
+        let rejected: Vec<(&str, Vec<u8>)> = vec![
+            ("width 0", forged(&bytes, |d| d.width = 0)),
+            ("width 1", forged(&bytes, |d| d.width = 1)),
+            (
+                "width too large",
+                forged(&bytes, |d| d.width = MAX_WIDTH + 1),
+            ),
+            ("width huge", forged(&bytes, |d| d.width = huge)),
+            (
+                "replay capacity 0",
+                forged(&bytes, |d| d.config.replay_capacity = 0),
+            ),
+            (
+                "replay longer than its capacity",
+                forged(&bytes, |d| d.config.replay_capacity = 5),
+            ),
+            (
+                "replay head at capacity",
+                forged(&bytes, |d| d.replay_head = d.config.replay_capacity),
+            ),
+            ("replay head huge", forged(&bytes, |d| d.replay_head = huge)),
+            ("hidden huge", forged(&bytes, |d| d.config.hidden = huge)),
+            (
+                "hidden too large",
+                forged(&bytes, |d| d.config.hidden = 4096),
+            ),
+        ];
+        for (what, forged) in &rejected {
+            assert!(RlDriver::load(forged).is_err(), "{what} must be rejected");
+        }
+
+        // A huge capacity is a legal configuration: it must load without
+        // reserving it, and re-encode exactly.
+        let big = forged(&bytes, |d| d.config.replay_capacity = huge);
+        let loaded = RlDriver::load(&big).expect("a huge capacity alone is valid");
+        assert_eq!(loaded.save(), big);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Machine-readable performance reporting for the compute-core benches.
 //!
-//! `benches/gemm.rs` measures the GEMM kernels, the width-32 VAE
-//! training step, and batched evaluation, then emits
+//! `benches/gemm.rs` measures the GEMM kernels and the width-32 VAE
+//! training step, then emits
 //! `results/bench_perf.json` through [`PerfReport`] so CI can archive a
 //! perf trajectory instead of scraping bench stdout. The schema is
 //! validated by [`validate_report`] (also exposed as the `perf_schema`
@@ -16,23 +16,24 @@ use std::fmt::Write as _;
 /// v2 makes thread accounting honest and adds the thread-scaling plane:
 /// every timed section records the *effective* parallelism its timed
 /// region used (`threads`), the report records the machine's
-/// `cpu_cores`, and a `scaling` section carries 1/2/4/8/16 curves for
-/// `evaluate_batch` and the training step. Each scaling point is
-/// labeled with its measurement `basis`: `"wall"` when the machine had
-/// enough cores for the wall clock to mean parallel speedup, or
-/// `"modeled"` (zero-contention critical-path makespan computed from
-/// individually measured per-design simulation times) when it did not —
-/// so a report produced on a 1-core container can never pass off
-/// timeshared wall clock, or quietly claim pool parallelism it didn't
-/// have.
+/// `cpu_cores`, and a `scaling` section carries a 1/2/4/8/16 curve for
+/// the training step. Each scaling point is labeled with its
+/// measurement `basis`: `"wall"` when the machine had enough cores for
+/// the wall clock to mean parallel speedup, or `"modeled"`
+/// (zero-contention critical-path makespan computed from individually
+/// measured per-item times) when it did not — so a report produced on a
+/// 1-core container can never pass off timeshared wall clock, or
+/// quietly claim pool parallelism it didn't have. The validator ignores
+/// sections it does not know, so older reports with since-removed
+/// sections still validate.
 ///
 /// v3 extends the same honesty to SIMD dispatch (DESIGN.md Contract 12):
 /// the report records the CPU features the machine actually exposes
 /// (`cpu_features`) and the SIMD level the kernels actually ran at
 /// (`simd_level`, top-level and per timed section — the level *used*,
 /// never the one requested), plus a `simd_scaling` section with
-/// per-level strict-mode GEMM/training curves and a recomputable
-/// headline (max per-shape strict speedup over scalar at the best
+/// per-level GEMM/training curves and a recomputable
+/// headline (max per-shape speedup over scalar at the best
 /// level). On AVX2 hardware the headline is gated ≥2x by
 /// `perf_schema --min-simd-speedup`; hosts without AVX2 skip that gate
 /// with an explicit label, never silently.
@@ -113,7 +114,7 @@ impl AbPerf {
 /// One point of a thread-scaling curve.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalePoint {
-    /// Requested thread count (the chunking the batch was split into).
+    /// Requested thread count (the chunking the work was split into).
     pub threads: usize,
     /// Workers that actually executed the timed region (pool size; 1
     /// when the dispatch ran inline).
@@ -121,10 +122,9 @@ pub struct ScalePoint {
     /// Measured wall-clock milliseconds.
     pub wall_ms: f64,
     /// Zero-contention critical-path makespan, milliseconds: the max
-    /// over workers of their summed per-design simulation times (each
-    /// measured individually on the sequential path) plus the measured
-    /// sequential residue. `None` for sections without per-item
-    /// instrumentation.
+    /// over workers of their summed per-item times (each measured
+    /// individually on the sequential path) plus the measured sequential
+    /// residue. `None` for sections without per-item instrumentation.
     pub modeled_ms: Option<f64>,
 }
 
@@ -287,13 +287,9 @@ pub struct PerfReport {
     pub gemm: Vec<GemmPerf>,
     /// Width-32 VAE training-step A/B.
     pub training_step: Option<AbPerf>,
-    /// `evaluate_batch` pool path vs. sequential loop.
-    pub evaluate_batch: Option<AbPerf>,
-    /// `evaluate_batch` thread-scaling curve (1/2/4/8/16).
-    pub batch_scaling: Option<ScalingCurve>,
     /// Training-step thread-scaling curve (1/2/4/8/16).
     pub training_scaling: Option<ScalingCurve>,
-    /// Strict-mode SIMD level scaling (scalar/sse2/avx2 curves).
+    /// SIMD level scaling (scalar/sse2/avx2 curves).
     pub simd_scaling: Option<SimdScaling>,
     /// Incremental-evaluation speedup (the `incremental` bench's gate
     /// quantity), when measured.
@@ -350,73 +346,55 @@ impl PerfReport {
             s.push_str(if i + 1 < self.gemm.len() { ",\n" } else { "\n" });
         }
         s.push_str("  ],\n");
-        for (key, ab) in [
-            ("training_step", &self.training_step),
-            ("evaluate_batch", &self.evaluate_batch),
-        ] {
-            match ab {
-                Some(ab) => {
-                    let _ = write!(
-                        s,
-                        "  \"{key}\": {{\"width\": {}, \"threads\": {}, \"simd_level\": \"{}\", \"naive_ms\": ",
-                        ab.width, ab.threads, ab.simd_level
-                    );
-                    push_num(&mut s, ab.naive_ms);
-                    s.push_str(", \"fast_ms\": ");
-                    push_num(&mut s, ab.fast_ms);
-                    s.push_str(", \"speedup\": ");
-                    push_num(&mut s, ab.speedup());
-                    s.push_str("},\n");
-                }
-                None => {
-                    let _ = writeln!(s, "  \"{key}\": null,");
-                }
+        match &self.training_step {
+            Some(ab) => {
+                let _ = write!(
+                    s,
+                    "  \"training_step\": {{\"width\": {}, \"threads\": {}, \"simd_level\": \"{}\", \"naive_ms\": ",
+                    ab.width, ab.threads, ab.simd_level
+                );
+                push_num(&mut s, ab.naive_ms);
+                s.push_str(", \"fast_ms\": ");
+                push_num(&mut s, ab.fast_ms);
+                s.push_str(", \"speedup\": ");
+                push_num(&mut s, ab.speedup());
+                s.push_str("},\n");
             }
+            None => s.push_str("  \"training_step\": null,\n"),
         }
         s.push_str("  \"scaling\": {\n");
-        for (i, (key, curve)) in [
-            ("evaluate_batch", &self.batch_scaling),
-            ("training_step", &self.training_scaling),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let sep = if i == 0 { ",\n" } else { "\n" };
-            match curve {
-                Some(c) => {
+        match &self.training_scaling {
+            Some(c) => {
+                let _ = write!(
+                    s,
+                    "    \"training_step\": {{\"width\": {}, \"baseline_ms\": ",
+                    c.width
+                );
+                push_num(&mut s, c.baseline_ms);
+                s.push_str(", \"points\": [\n");
+                for (j, p) in c.points.iter().enumerate() {
+                    let (speedup, basis) = p.headline(c.baseline_ms, self.cpu_cores);
                     let _ = write!(
                         s,
-                        "    \"{key}\": {{\"width\": {}, \"baseline_ms\": ",
-                        c.width
+                        "      {{\"threads\": {}, \"workers\": {}, \"wall_ms\": ",
+                        p.threads, p.workers
                     );
-                    push_num(&mut s, c.baseline_ms);
-                    s.push_str(", \"points\": [\n");
-                    for (j, p) in c.points.iter().enumerate() {
-                        let (speedup, basis) = p.headline(c.baseline_ms, self.cpu_cores);
-                        let _ = write!(
-                            s,
-                            "      {{\"threads\": {}, \"workers\": {}, \"wall_ms\": ",
-                            p.threads, p.workers
-                        );
-                        push_num(&mut s, p.wall_ms);
-                        s.push_str(", \"wall_speedup\": ");
-                        push_num(&mut s, p.wall_speedup(c.baseline_ms));
-                        s.push_str(", \"modeled_ms\": ");
-                        match p.modeled_ms {
-                            Some(m) => push_num(&mut s, m),
-                            None => s.push_str("null"),
-                        }
-                        s.push_str(", \"speedup\": ");
-                        push_num(&mut s, speedup);
-                        let _ = write!(s, ", \"basis\": \"{basis}\"}}");
-                        s.push_str(if j + 1 < c.points.len() { ",\n" } else { "\n" });
+                    push_num(&mut s, p.wall_ms);
+                    s.push_str(", \"wall_speedup\": ");
+                    push_num(&mut s, p.wall_speedup(c.baseline_ms));
+                    s.push_str(", \"modeled_ms\": ");
+                    match p.modeled_ms {
+                        Some(m) => push_num(&mut s, m),
+                        None => s.push_str("null"),
                     }
-                    let _ = write!(s, "    ]}}{sep}");
+                    s.push_str(", \"speedup\": ");
+                    push_num(&mut s, speedup);
+                    let _ = write!(s, ", \"basis\": \"{basis}\"}}");
+                    s.push_str(if j + 1 < c.points.len() { ",\n" } else { "\n" });
                 }
-                None => {
-                    let _ = write!(s, "    \"{key}\": null{sep}");
-                }
+                s.push_str("    ]}\n");
             }
+            None => s.push_str("    \"training_step\": null\n"),
         }
         s.push_str("  },\n");
         s.push_str("  \"simd_scaling\": ");
@@ -945,23 +923,6 @@ fn check_curve(v: &Json, ctx: &str) -> Result<(), String> {
     }
 }
 
-/// The headline speedup the report claims for `section` (`"evaluate_batch"`
-/// or `"training_step"`) at exactly `threads` threads, from the `scaling`
-/// curves of an already-parsed report. `None` when the curve or point is
-/// absent.
-pub fn scaling_speedup_at(doc: &Json, section: &str, threads: usize) -> Option<f64> {
-    let curve = doc.get("scaling")?.get(section)?;
-    let Json::Arr(points) = curve.get("points")? else {
-        return None;
-    };
-    points
-        .iter()
-        .find_map(|p| match (p.get("threads"), p.get("speedup")) {
-            (Some(Json::Num(t)), Some(Json::Num(s))) if *t == threads as f64 => Some(*s),
-            _ => None,
-        })
-}
-
 /// Validates a `bench_perf.json` document against the
 /// [`PERF_SCHEMA`] shape.
 ///
@@ -1027,16 +988,8 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         doc.get("training_step").unwrap_or(&Json::Null),
         "training_step",
     )?;
-    check_ab(
-        doc.get("evaluate_batch").unwrap_or(&Json::Null),
-        "evaluate_batch",
-    )?;
     match doc.get("scaling") {
         Some(scaling @ Json::Obj(_)) => {
-            check_curve(
-                scaling.get("evaluate_batch").unwrap_or(&Json::Null),
-                "scaling.evaluate_batch",
-            )?;
             check_curve(
                 scaling.get("training_step").unwrap_or(&Json::Null),
                 "scaling.training_step",
@@ -1083,8 +1036,7 @@ mod tests {
                 threads: 1,
                 simd_level: "avx2",
             }),
-            evaluate_batch: None,
-            batch_scaling: Some(ScalingCurve {
+            training_scaling: Some(ScalingCurve {
                 width: 32,
                 baseline_ms: 80.0,
                 points: vec![
@@ -1108,7 +1060,6 @@ mod tests {
                     },
                 ],
             }),
-            training_scaling: None,
             simd_scaling: Some(SimdScaling {
                 levels: vec![
                     SimdLevelPerf {
@@ -1161,14 +1112,23 @@ mod tests {
         let ts = doc.get("training_step").unwrap();
         assert_eq!(ts.get("speedup"), Some(&Json::Num(5.0)));
         assert_eq!(ts.get("threads"), Some(&Json::Num(1.0)));
-        assert_eq!(doc.get("evaluate_batch"), Some(&Json::Null));
         let scaling = doc.get("scaling").unwrap();
-        assert_eq!(scaling.get("training_step"), Some(&Json::Null));
         assert!(scaling
-            .get("evaluate_batch")
+            .get("training_step")
             .unwrap()
             .get("points")
             .is_some());
+        let mut empty = sample();
+        empty.training_step = None;
+        empty.training_scaling = None;
+        let json = empty.to_json();
+        validate_report(&json).expect("a report without optional sections must validate");
+        let doc = parse_json(&json).unwrap();
+        assert_eq!(doc.get("training_step"), Some(&Json::Null));
+        assert_eq!(
+            doc.get("scaling").unwrap().get("training_step"),
+            Some(&Json::Null)
+        );
     }
 
     #[test]
@@ -1180,7 +1140,7 @@ mod tests {
         let doc = parse_json(&json).unwrap();
         let points = match doc
             .get("scaling")
-            .and_then(|s| s.get("evaluate_batch"))
+            .and_then(|s| s.get("training_step"))
             .and_then(|c| c.get("points"))
         {
             Some(Json::Arr(points)) => points,
@@ -1195,12 +1155,14 @@ mod tests {
                 Some(Json::Str("modeled".into())),
             ]
         );
-        assert_eq!(scaling_speedup_at(&doc, "evaluate_batch", 4), Some(4.0));
+        let speedups: Vec<_> = points.iter().map(|p| p.get("speedup").cloned()).collect();
+        // t=4 reports the modeled makespan (80/20), not the wall clock.
+        assert_eq!(speedups[2], Some(Json::Num(4.0)));
         // Serialized at 6 decimals, so compare with matching tolerance.
-        let at2 = scaling_speedup_at(&doc, "evaluate_batch", 2).unwrap();
+        let Some(Json::Num(at2)) = speedups[1] else {
+            panic!("t=2 speedup missing: {:?}", speedups[1]);
+        };
         assert!((at2 - 80.0 / 41.0).abs() < 1e-6, "got {at2}");
-        assert_eq!(scaling_speedup_at(&doc, "evaluate_batch", 16), None);
-        assert_eq!(scaling_speedup_at(&doc, "training_step", 1), None);
     }
 
     #[test]
@@ -1212,8 +1174,8 @@ mod tests {
         let bad = format!(
             r#"{{"schema": "{PERF_SCHEMA}", "pool_threads": 1, "cpu_cores": 1,
                 "simd_level": "scalar", "cpu_features": [], "gemm": [],
-                "training_step": null, "evaluate_batch": null,
-                "scaling": {{"evaluate_batch": null, "training_step": null}},
+                "training_step": null,
+                "scaling": {{"training_step": null}},
                 "simd_scaling": null, "incremental_speedup": null}}"#
         );
         assert!(validate_report(&bad).unwrap_err().contains("gemm"));
@@ -1222,8 +1184,8 @@ mod tests {
             r#"{{"schema": "{PERF_SCHEMA}", "pool_threads": 2, "cpu_cores": 1,
                 "simd_level": "scalar", "cpu_features": [],
                 "gemm": [{{"op": "nn", "simd_level": "scalar", "m": 1, "k": 2, "n": 3}}],
-                "training_step": null, "evaluate_batch": null,
-                "scaling": {{"evaluate_batch": null, "training_step": null}},
+                "training_step": null,
+                "scaling": {{"training_step": null}},
                 "simd_scaling": null, "incremental_speedup": null}}"#
         );
         assert!(validate_report(&bad).unwrap_err().contains("threads"));

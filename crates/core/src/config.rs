@@ -85,7 +85,8 @@ pub struct CircuitVaeConfig {
     pub warmup_steps: usize,
     /// Adam learning rate for model training.
     pub lr: f32,
-    /// Worker threads for data-parallel training and batched evaluation.
+    /// Worker threads (gradient-accumulation chunks) for data-parallel
+    /// training.
     pub threads: usize,
     /// Number of parallel latent-search trajectories (m in Alg. 1).
     pub trajectories: usize,

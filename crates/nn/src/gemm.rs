@@ -47,11 +47,8 @@
 //! runtime-dispatched family: [`mod@simd`] adds explicit `std::arch`
 //! SSE2/AVX2 microkernels for the same inner loops, selected once per
 //! process by CPU capability (overridable with `CV_SIMD=scalar|sse2|avx2`
-//! or [`set_simd_level`]). The default **strict** tier preserves every
-//! accumulation chain, so Contract 9 bit-identity holds unchanged at
-//! every SIMD level; the opt-in **relaxed** tier
-//! ([`set_relaxed_kernels`]) trades chain order for FMA throughput on
-//! the GEMM entry points only — convolution always runs strict.
+//! or [`set_simd_level`]). Every tier preserves every accumulation
+//! chain, so Contract 9 bit-identity holds unchanged at every SIMD level.
 
 use crate::arena::ScratchArena;
 use cv_pool::WorkerPool;
@@ -60,8 +57,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub mod simd;
 
 pub use simd::{
-    cpu_features, detected_level, gemm_nn_at, gemm_nt_at, gemm_tn_at, relaxed_kernels,
-    set_relaxed_kernels, set_simd_level, simd_level, KernelMode, SimdLevel,
+    cpu_features, detected_level, gemm_nn_at, gemm_nt_at, gemm_tn_at, set_simd_level, simd_level,
+    SimdLevel,
 };
 
 /// k-dimension cache block: 256 f32 rows of B keep the streamed panel
@@ -108,24 +105,13 @@ pub fn planned_chunks(pool: &WorkerPool, rows: usize, flops: usize) -> usize {
 // NN: out[m,n] += a[m,k] × b[k,n]
 // ---------------------------------------------------------------------
 
-/// Row-block inner kernel at the active SIMD tier and mode; chains per
-/// element stay in ascending-`p` reference order in strict mode.
-fn nn_block(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+/// Row-block inner kernel at SIMD tier `level`; chains per element stay
+/// in ascending-`p` reference order.
+fn nn_block(level: SimdLevel, out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     if n == 0 {
         return;
     }
-    simd::dispatch_nn(out, a, b, k, n);
-}
-
-/// [`nn_block`] at tier `level`, pinned to strict mode regardless of the
-/// relaxed toggle: the im2col conv lowering uses this so convolution
-/// stays bit-exact (Contract 9) even when the GEMM entry points opt into
-/// relaxed.
-fn nn_run_strict(level: SimdLevel, out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-    if n == 0 {
-        return;
-    }
-    simd::dispatch_nn_strict(level, out, a, b, k, n);
+    simd::dispatch_nn(level, out, a, b, k, n);
 }
 
 /// Scalar (autovectorized) tier of [`nn_block`]: accumulates
@@ -198,16 +184,17 @@ pub fn gemm_nn_with(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    let level = simd::simd_level();
     let chunks = par_chunks(pool, m, 2 * m * k * n);
     if chunks <= 1 {
-        nn_block(out, a, b, k, n);
+        nn_block(level, out, a, b, k, n);
         return;
     }
     let rows_per = m.div_ceil(chunks);
     pool.scatter(out, rows_per * n, |c, ochunk| {
         let r0 = c * rows_per;
         let rows = ochunk.len() / n;
-        nn_block(ochunk, &a[r0 * k..(r0 + rows) * k], b, k, n);
+        nn_block(level, ochunk, &a[r0 * k..(r0 + rows) * k], b, k, n);
     });
 }
 
@@ -318,7 +305,7 @@ fn nt_rows2(
     }
 }
 
-/// NT row-block kernel at the active SIMD tier and mode.
+/// NT row-block kernel at the active SIMD tier.
 fn nt_block(out: &mut [f32], g: &[f32], b: &[f32], n: usize, kk: usize) {
     if kk == 0 {
         return;
@@ -405,7 +392,7 @@ pub fn gemm_nt(out: &mut [f32], g: &[f32], b: &[f32], m: usize, n: usize, kk: us
 // TN: out[k,n] += a[m,k]ᵀ × g[m,n]
 // ---------------------------------------------------------------------
 
-/// TN inner kernel at the active SIMD tier and mode: `out` covers
+/// TN inner kernel at the active SIMD tier: `out` covers
 /// output rows `p_off..p_off + out.len()/n`.
 fn tn_block(out: &mut [f32], a: &[f32], g: &[f32], p_off: usize, m: usize, k: usize, n: usize) {
     if n == 0 {
@@ -668,7 +655,7 @@ pub fn conv2d_forward_into(
 
 /// [`conv2d_forward_into`] through the kernels of one specific SIMD
 /// tier, bypassing the global dispatch state — the race-free A/B
-/// surface for equivalence tests (conv is always strict).
+/// surface for equivalence tests.
 ///
 /// # Panics
 ///
@@ -719,7 +706,7 @@ pub fn conv2d_forward_at(
         );
         let obi = &mut out[bi * s.cout * ohow..][..s.cout * ohow];
         if s.cin == 1 {
-            nn_run_strict(
+            nn_block(
                 level,
                 obi,
                 &wpack[..s.cout * khkw],
@@ -730,7 +717,7 @@ pub fn conv2d_forward_at(
         } else {
             for ci in 0..s.cin {
                 part.fill(0.0);
-                nn_run_strict(
+                nn_block(
                     level,
                     &mut part,
                     &wpack[ci * s.cout * khkw..][..s.cout * khkw],

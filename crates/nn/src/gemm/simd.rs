@@ -19,22 +19,14 @@
 //! load), never inside an inner loop, and shapes whose vectorized axis is
 //! narrower than one SIMD tile fall straight to the scalar kernels.
 //!
-//! # Strict vs relaxed (Contract 12)
+//! # Strictness (Contract 12)
 //!
-//! * **Strict** (the default): every kernel preserves the reference
-//!   accumulation chain of every output element — vector lanes only ever
-//!   carry *independent* chains, multiplies and adds stay separate (no
-//!   FMA contraction), and zero-skip differences are covered by the ±0.0
-//!   lemma of the parent module. Strict kernels are **bit-identical** to
-//!   the scalar kernels and to [`super::reference`] at every tier and
-//!   every pool size.
-//! * **Relaxed** ([`set_relaxed_kernels`], explicit opt-in): the GEMM
-//!   kernels may fuse multiply-adds and split reduction chains across
-//!   lanes/accumulators (the NT kernel becomes a wide FMA dot product).
-//!   Results are tolerance-equivalent, not bit-identical; the equivalence
-//!   suite lives in `cv-tests/compute_core.rs`. The direct 3×3 conv
-//!   kernels and the conv im2col lowering stay strict even in relaxed
-//!   mode, so Contract 9 for convolution holds unconditionally.
+//! Every kernel preserves the reference accumulation chain of every
+//! output element: vector lanes only ever carry *independent* chains,
+//! multiplies and adds stay separate (no FMA contraction), and zero-skip
+//! differences are covered by the ±0.0 lemma of the parent module. The
+//! kernels are therefore **bit-identical** to the scalar kernels and to
+//! [`super::reference`] at every tier and every pool size.
 //!
 //! # Safety argument
 //!
@@ -55,7 +47,7 @@
 //!    borrow rules guarantee output/input slices never alias.
 
 use super::conv3x3::{Corr3, Gw3};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// One tier of the runtime-dispatched kernel family, ordered by
@@ -70,8 +62,8 @@ pub enum SimdLevel {
     /// always available on x86-64; unavailable elsewhere.
     Sse2 = 1,
     /// 256-bit `std::arch` kernels. Requires runtime-detected `avx2` and
-    /// `fma` (FMA instructions are emitted only in relaxed mode, but the
-    /// tier requires both so the mode toggle never changes dispatch).
+    /// `fma` (the kernels are compiled with both enabled but never fuse a
+    /// multiply-add, which would change result bits).
     Avx2 = 2,
 }
 
@@ -112,19 +104,6 @@ impl SimdLevel {
             _ => unreachable!("invalid SimdLevel encoding {v}"),
         }
     }
-}
-
-/// Whether a kernel must preserve the reference accumulation chains or
-/// may trade them for throughput (Contract 12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Chain-preserving: bit-identical to the scalar kernels and to
-    /// [`super::reference`] for finite inputs.
-    Strict,
-    /// May fuse multiply-adds and reassociate reduction chains; results
-    /// are tolerance-equivalent only. At [`SimdLevel::Scalar`] relaxed is
-    /// identical to strict (the scalar kernels have no relaxed variant).
-    Relaxed,
 }
 
 static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
@@ -199,30 +178,14 @@ fn initial_level() -> SimdLevel {
 
 /// Overrides the active tier in-process (A/B benchmarking). Returns
 /// `false` — and changes nothing — if `level` exceeds the detected
-/// hardware capability. In strict mode (the default) flipping the level
-/// can only change speed, never bits; use from concurrent tests only
-/// with that in mind.
+/// hardware capability. Every tier is bit-identical, so flipping the
+/// level can only change speed, never bits.
 pub fn set_simd_level(level: SimdLevel) -> bool {
     if !level.is_supported() {
         return false;
     }
     ACTIVE.store(level as u8, Ordering::Relaxed);
     true
-}
-
-static RELAXED: AtomicBool = AtomicBool::new(false);
-
-/// Opts the GEMM kernels into relaxed mode ([`KernelMode::Relaxed`]).
-/// **This changes result bits** (tolerance-equivalent, not
-/// bit-identical), so it is never enabled implicitly — no environment
-/// variable, no auto-detection. Conv stays strict regardless.
-pub fn set_relaxed_kernels(on: bool) {
-    RELAXED.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`set_relaxed_kernels`] has opted into relaxed GEMM kernels.
-pub fn relaxed_kernels() -> bool {
-    RELAXED.load(Ordering::Relaxed)
 }
 
 /// The ISA features relevant to kernel dispatch that the CPU reports,
@@ -266,46 +229,22 @@ fn level_for_width(level: SimdLevel, width: usize) -> SimdLevel {
 // Dispatch wrappers (called from the parent module's block kernels)
 // ---------------------------------------------------------------------
 
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn nn_run(
-    level: SimdLevel,
-    relaxed: bool,
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-) {
+fn nn_run(level: SimdLevel, out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     match level {
         SimdLevel::Scalar => super::nn_block_scalar(out, a, b, k, n),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::nn_sse2(relaxed, out, a, b, k, n),
+        SimdLevel::Sse2 => x86::nn_sse2(out, a, b, k, n),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 is only produced by a dispatch that observed
         // avx2+fma via `detected_level()` (see module safety argument).
-        SimdLevel::Avx2 => unsafe { x86::nn_avx2(relaxed, out, a, b, k, n) },
+        SimdLevel::Avx2 => unsafe { x86::nn_avx2(out, a, b, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("non-scalar SIMD level on a non-x86-64 build"),
     }
 }
 
-/// NN row block at the active tier and mode.
-pub(super) fn dispatch_nn(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-    nn_run(
-        level_for_width(simd_level(), n),
-        relaxed_kernels(),
-        out,
-        a,
-        b,
-        k,
-        n,
-    );
-}
-
-/// NN row block at tier `level`, strict mode regardless of the relaxed
-/// toggle — the conv im2col lowering uses this so convolution stays
-/// bit-exact (Contract 9) even when GEMM has opted into relaxed.
-pub(super) fn dispatch_nn_strict(
+/// NN row block at tier `level` (clamped for narrow `n`).
+pub(super) fn dispatch_nn(
     level: SimdLevel,
     out: &mut [f32],
     a: &[f32],
@@ -313,14 +252,12 @@ pub(super) fn dispatch_nn_strict(
     k: usize,
     n: usize,
 ) {
-    nn_run(level_for_width(level, n), false, out, a, b, k, n);
+    nn_run(level_for_width(level, n), out, a, b, k, n);
 }
 
 #[allow(clippy::too_many_arguments)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 fn tn_run(
     level: SimdLevel,
-    relaxed: bool,
     out: &mut [f32],
     a: &[f32],
     g: &[f32],
@@ -332,16 +269,16 @@ fn tn_run(
     match level {
         SimdLevel::Scalar => super::tn_block_scalar(out, a, g, p_off, m, k, n),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::tn_sse2(relaxed, out, a, g, p_off, m, n),
+        SimdLevel::Sse2 => x86::tn_sse2(out, a, g, p_off, m, n),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as for NN — Avx2 implies a successful runtime probe.
-        SimdLevel::Avx2 => unsafe { x86::tn_avx2(relaxed, out, a, g, p_off, m, n) },
+        SimdLevel::Avx2 => unsafe { x86::tn_avx2(out, a, g, p_off, m, n) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("non-scalar SIMD level on a non-x86-64 build"),
     }
 }
 
-/// TN output-row block at the active tier and mode.
+/// TN output-row block at the active tier.
 pub(super) fn dispatch_tn(
     out: &mut [f32],
     a: &[f32],
@@ -351,53 +288,30 @@ pub(super) fn dispatch_tn(
     k: usize,
     n: usize,
 ) {
-    tn_run(
-        level_for_width(simd_level(), n),
-        relaxed_kernels(),
-        out,
-        a,
-        g,
-        p_off,
-        m,
-        k,
-        n,
-    );
+    tn_run(level_for_width(simd_level(), n), out, a, g, p_off, m, k, n);
 }
 
 #[cfg(target_arch = "x86_64")]
 std::thread_local! {
-    /// Per-worker Bᵀ pack buffer for the strict NT kernel, reused across
+    /// Per-worker Bᵀ pack buffer for the packed NT kernel, reused across
     /// calls so steady-state training stays allocation-free.
     static NT_PACK: core::cell::RefCell<Vec<f32>> = const { core::cell::RefCell::new(Vec::new()) };
 }
 
-/// NT row block at the active tier and mode.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+/// NT row block at the active tier.
 pub(super) fn dispatch_nt(out: &mut [f32], g: &[f32], b: &[f32], n: usize, kk: usize) {
+    // The packed NT kernel vectorizes the output axis (kk) through a
+    // transpose; a single-row block cannot amortize the pack. At 128 bits
+    // the pack costs as much as it saves (measured ~0.96x vs the
+    // autovectorized scalar dot), so the packed kernel is AVX2-only and
+    // SSE2-class hosts run the scalar tier.
     #[cfg(target_arch = "x86_64")]
-    {
-        if relaxed_kernels() {
-            // Relaxed NT vectorizes the reduction axis, so clamp on n.
-            match level_for_width(simd_level(), n) {
-                SimdLevel::Scalar => {}
-                SimdLevel::Sse2 => return x86::nt_dot_sse2(out, g, b, n, kk),
-                // SAFETY: as for NN — Avx2 implies a successful probe.
-                SimdLevel::Avx2 => return unsafe { x86::nt_dot_avx2(out, g, b, n, kk) },
-            }
-        } else {
-            // Strict NT vectorizes the output axis (kk) via a packed
-            // transpose; a single-row block cannot amortize the pack.
-            // At 128 bits the pack costs as much as it saves (measured
-            // ~0.96x vs the autovectorized scalar dot), so the packed
-            // path is AVX2-only; SSE2-class hosts run the scalar tier.
-            if level_for_width(simd_level(), kk) == SimdLevel::Avx2 && out.len() / kk >= 2 {
-                return NT_PACK.with(|cell| {
-                    let pack = &mut cell.borrow_mut();
-                    // SAFETY: as for NN — Avx2 implies a successful probe.
-                    unsafe { x86::nt_avx2(out, g, b, n, kk, pack) }
-                });
-            }
-        }
+    if level_for_width(simd_level(), kk) == SimdLevel::Avx2 && out.len() / kk >= 2 {
+        return NT_PACK.with(|cell| {
+            let pack = &mut cell.borrow_mut();
+            // SAFETY: as for NN — Avx2 implies a successful probe.
+            unsafe { x86::nt_avx2(out, g, b, n, kk, pack) }
+        });
     }
     super::nt_block_scalar(out, g, b, n, kk);
 }
@@ -473,18 +387,16 @@ pub(super) fn gw3(level: SimdLevel, g: &Gw3, xcl: &[f32], gplane: &[f32], acc: &
 // Per-level entry points (test/bench A/B surface)
 // ---------------------------------------------------------------------
 
-/// `out[m,n] += a[m,k] × b[k,n]` through the kernel of one specific tier
-/// and mode, single-threaded, bypassing the global dispatch state — the
-/// race-free A/B surface for equivalence tests.
+/// `out[m,n] += a[m,k] × b[k,n]` through the kernel of one specific tier,
+/// single-threaded, bypassing the global dispatch state — the race-free
+/// A/B surface for equivalence tests.
 ///
 /// # Panics
 ///
 /// Panics if `level` is unsupported on this hardware
 /// ([`SimdLevel::is_supported`]) or if slice lengths do not match.
-#[allow(clippy::too_many_arguments)]
 pub fn gemm_nn_at(
     level: SimdLevel,
-    mode: KernelMode,
     out: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -503,20 +415,18 @@ pub fn gemm_nn_at(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    nn_run(level, mode == KernelMode::Relaxed, out, a, b, k, n);
+    nn_run(level, out, a, b, k, n);
 }
 
 /// `out[m,kk] = g[m,n] × b[kk,n]ᵀ` (fresh write) through one specific
-/// tier and mode; see [`gemm_nn_at`].
+/// tier; see [`gemm_nn_at`]. The SSE2 tier has no NT kernel of its own
+/// and runs the scalar one, as the production dispatch does.
 ///
 /// # Panics
 ///
 /// Panics if `level` is unsupported or slice lengths do not match.
-#[allow(clippy::too_many_arguments)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub fn gemm_nt_at(
     level: SimdLevel,
-    mode: KernelMode,
     out: &mut [f32],
     g: &[f32],
     b: &[f32],
@@ -540,39 +450,21 @@ pub fn gemm_nt_at(
         return;
     }
     match level {
-        SimdLevel::Scalar => super::nt_block_scalar(out, g, b, n, kk),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => {
-            if mode == KernelMode::Relaxed {
-                x86::nt_dot_sse2(out, g, b, n, kk);
-            } else {
-                x86::nt_sse2(out, g, b, n, kk, &mut Vec::new());
-            }
-        }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `is_supported` passed above, so avx2+fma were detected.
-        SimdLevel::Avx2 => unsafe {
-            if mode == KernelMode::Relaxed {
-                x86::nt_dot_avx2(out, g, b, n, kk);
-            } else {
-                x86::nt_avx2(out, g, b, n, kk, &mut Vec::new());
-            }
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("is_supported admitted a non-scalar level off x86-64"),
+        SimdLevel::Avx2 => unsafe { x86::nt_avx2(out, g, b, n, kk, &mut Vec::new()) },
+        _ => super::nt_block_scalar(out, g, b, n, kk),
     }
 }
 
-/// `out[k,n] += a[m,k]ᵀ × g[m,n]` through one specific tier and mode;
-/// see [`gemm_nn_at`].
+/// `out[k,n] += a[m,k]ᵀ × g[m,n]` through one specific tier; see
+/// [`gemm_nn_at`].
 ///
 /// # Panics
 ///
 /// Panics if `level` is unsupported or slice lengths do not match.
-#[allow(clippy::too_many_arguments)]
 pub fn gemm_tn_at(
     level: SimdLevel,
-    mode: KernelMode,
     out: &mut [f32],
     a: &[f32],
     g: &[f32],
@@ -591,7 +483,7 @@ pub fn gemm_tn_at(
     if k == 0 || n == 0 || m == 0 {
         return;
     }
-    tn_run(level, mode == KernelMode::Relaxed, out, a, g, 0, m, k, n);
+    tn_run(level, out, a, g, 0, m, k, n);
 }
 
 // ---------------------------------------------------------------------
@@ -622,11 +514,6 @@ mod x86 {
         unsafe fn storeu(p: *mut f32, v: Self::V);
         unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
         unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
-        /// `a·b + acc`, fused where the ISA has FMA (relaxed mode only —
-        /// fusion changes rounding; SSE2 falls back to `add(mul(..))`).
-        unsafe fn mul_add(a: Self::V, b: Self::V, acc: Self::V) -> Self::V;
-        /// Horizontal sum (relaxed mode only — reassociates).
-        unsafe fn reduce_add(v: Self::V) -> f32;
     }
 
     /// 128-bit tier (x86-64 baseline).
@@ -660,24 +547,6 @@ mod x86 {
         unsafe fn mul(a: __m128, b: __m128) -> __m128 {
             _mm_mul_ps(a, b)
         }
-        #[inline(always)]
-        unsafe fn mul_add(a: __m128, b: __m128, acc: __m128) -> __m128 {
-            // No FMA in the SSE2 tier; unfused on purpose.
-            _mm_add_ps(acc, _mm_mul_ps(a, b))
-        }
-        #[inline(always)]
-        unsafe fn reduce_add(v: __m128) -> f32 {
-            hsum128(v)
-        }
-    }
-
-    /// `(v0+v1) + (v2+v3)` with SSE1/2 shuffles only.
-    #[inline(always)]
-    unsafe fn hsum128(v: __m128) -> f32 {
-        let hi = _mm_movehl_ps(v, v); // [v2, v3, ..]
-        let pair = _mm_add_ps(v, hi); // [v0+v2, v1+v3, ..]
-        let odd = _mm_shuffle_ps(pair, pair, 0b01); // lane1 → lane0
-        _mm_cvtss_f32(_mm_add_ss(pair, odd))
     }
 
     /// 256-bit tier (runtime-detected `avx2`+`fma`).
@@ -711,16 +580,6 @@ mod x86 {
         unsafe fn mul(a: __m256, b: __m256) -> __m256 {
             _mm256_mul_ps(a, b)
         }
-        #[inline(always)]
-        unsafe fn mul_add(a: __m256, b: __m256, acc: __m256) -> __m256 {
-            _mm256_fmadd_ps(a, b, acc)
-        }
-        #[inline(always)]
-        unsafe fn reduce_add(v: __m256) -> f32 {
-            let lo = _mm256_castps256_ps128(v);
-            let hi = _mm256_extractf128_ps(v, 1);
-            hsum128(_mm_add_ps(lo, hi))
-        }
     }
 
     // -----------------------------------------------------------------
@@ -735,7 +594,7 @@ mod x86 {
     /// Safety: `orow` must be valid for `js.end` writes, `mrow` for
     /// `red` reads at stride `mstride`, `panel` for `red·n` reads.
     #[inline(always)]
-    unsafe fn row_update_v<V: VecF32, const FMA: bool>(
+    unsafe fn row_update_v<V: VecF32>(
         orow: *mut f32,
         js: core::ops::Range<usize>,
         mrow: *const f32,
@@ -750,11 +609,7 @@ mod x86 {
             for t in 0..red {
                 let va = V::splat(*mrow.add(t * mstride));
                 let vb = V::loadu(panel.add(t * n + j));
-                acc = if FMA {
-                    V::mul_add(va, vb, acc)
-                } else {
-                    V::add(acc, V::mul(va, vb))
-                };
+                acc = V::add(acc, V::mul(va, vb));
             }
             V::storeu(orow.add(j), acc);
             j += V::LANES;
@@ -762,12 +617,7 @@ mod x86 {
         while j < js.end {
             let mut o = *orow.add(j);
             for t in 0..red {
-                let av = *mrow.add(t * mstride);
-                o = if FMA {
-                    av.mul_add(*panel.add(t * n + j), o)
-                } else {
-                    o + av * *panel.add(t * n + j)
-                };
+                o += *mrow.add(t * mstride) * *panel.add(t * n + j);
             }
             *orow.add(j) = o;
             j += 1;
@@ -791,7 +641,7 @@ mod x86 {
     /// `red·n` reads; `mult` valid for reads at every
     /// `r·m_row + t·m_red`, `r < out.len()/n`, `t < red`.
     #[inline(always)]
-    unsafe fn mm_block_v<V: VecF32, const FMA: bool>(
+    unsafe fn mm_block_v<V: VecF32>(
         out: &mut [f32],
         n: usize,
         red: usize,
@@ -830,25 +680,14 @@ mod x86 {
                     let v1 = V::splat(*m1.add(t * m_red));
                     let v2 = V::splat(*m2.add(t * m_red));
                     let v3 = V::splat(*m3.add(t * m_red));
-                    if FMA {
-                        a00 = V::mul_add(v0, b0, a00);
-                        a01 = V::mul_add(v0, b1, a01);
-                        a10 = V::mul_add(v1, b0, a10);
-                        a11 = V::mul_add(v1, b1, a11);
-                        a20 = V::mul_add(v2, b0, a20);
-                        a21 = V::mul_add(v2, b1, a21);
-                        a30 = V::mul_add(v3, b0, a30);
-                        a31 = V::mul_add(v3, b1, a31);
-                    } else {
-                        a00 = V::add(a00, V::mul(v0, b0));
-                        a01 = V::add(a01, V::mul(v0, b1));
-                        a10 = V::add(a10, V::mul(v1, b0));
-                        a11 = V::add(a11, V::mul(v1, b1));
-                        a20 = V::add(a20, V::mul(v2, b0));
-                        a21 = V::add(a21, V::mul(v2, b1));
-                        a30 = V::add(a30, V::mul(v3, b0));
-                        a31 = V::add(a31, V::mul(v3, b1));
-                    }
+                    a00 = V::add(a00, V::mul(v0, b0));
+                    a01 = V::add(a01, V::mul(v0, b1));
+                    a10 = V::add(a10, V::mul(v1, b0));
+                    a11 = V::add(a11, V::mul(v1, b1));
+                    a20 = V::add(a20, V::mul(v2, b0));
+                    a21 = V::add(a21, V::mul(v2, b1));
+                    a30 = V::add(a30, V::mul(v3, b0));
+                    a31 = V::add(a31, V::mul(v3, b1));
                 }
                 V::storeu(o0.add(j), a00);
                 V::storeu(o0.add(j + V::LANES), a01);
@@ -861,15 +700,15 @@ mod x86 {
                 j += tile;
             }
             if j < n {
-                row_update_v::<V, FMA>(o0, j..n, m0, m_red, red, panel, n);
-                row_update_v::<V, FMA>(o1, j..n, m1, m_red, red, panel, n);
-                row_update_v::<V, FMA>(o2, j..n, m2, m_red, red, panel, n);
-                row_update_v::<V, FMA>(o3, j..n, m3, m_red, red, panel, n);
+                row_update_v::<V>(o0, j..n, m0, m_red, red, panel, n);
+                row_update_v::<V>(o1, j..n, m1, m_red, red, panel, n);
+                row_update_v::<V>(o2, j..n, m2, m_red, red, panel, n);
+                row_update_v::<V>(o3, j..n, m3, m_red, red, panel, n);
             }
             r += 4;
         }
         while r < rows {
-            row_update_v::<V, FMA>(
+            row_update_v::<V>(
                 out.as_mut_ptr().add(r * n),
                 0..n,
                 mult.add(r * m_row),
@@ -886,12 +725,12 @@ mod x86 {
     // NT kernels
     // -----------------------------------------------------------------
 
-    /// How many g-columns the strict NT kernel packs (transposes) at a
+    /// How many g-columns the packed NT kernel packs (transposes) at a
     /// time; 32 rows of Bᵀ keep the pack L2-resident for any `kk` the
     /// models use.
     const NT_JB: usize = 32;
 
-    /// Strict NT: `out[i,p] = Σ_j g[i,j]·b[p,j]`, chains ascending in
+    /// Packed NT: `out[i,p] = Σ_j g[i,j]·b[p,j]`, chains ascending in
     /// `j`. Vectorizing `j` would split the chain, so instead `b` is
     /// transposed in `NT_JB`-column blocks into `pack` and each `(i,j)`
     /// becomes a vector axpy over the contiguous output axis `p` —
@@ -948,58 +787,6 @@ mod x86 {
                 }
             }
             j0 += jb;
-        }
-    }
-
-    /// Relaxed NT: plain wide dot products — 4 vector accumulators per
-    /// output element, FMA where available, horizontal reduce at the
-    /// end. Branchless and fast, but the reduction chain is split across
-    /// `4·LANES` partial chains: tolerance-equivalent only.
-    ///
-    /// Safety: as [`nt_packed_v`].
-    #[inline(always)]
-    unsafe fn nt_dot_v<V: VecF32>(out: &mut [f32], g: &[f32], b: &[f32], n: usize, kk: usize) {
-        let rows = out.len() / kk;
-        for i in 0..rows {
-            let grow = g.as_ptr().add(i * n);
-            let orow = &mut out[i * kk..(i + 1) * kk];
-            for (p, o) in orow.iter_mut().enumerate() {
-                let brow = b.as_ptr().add(p * n);
-                let mut acc0 = V::zero();
-                let mut acc1 = V::zero();
-                let mut acc2 = V::zero();
-                let mut acc3 = V::zero();
-                let mut j = 0;
-                while j + 4 * V::LANES <= n {
-                    acc0 = V::mul_add(V::loadu(grow.add(j)), V::loadu(brow.add(j)), acc0);
-                    acc1 = V::mul_add(
-                        V::loadu(grow.add(j + V::LANES)),
-                        V::loadu(brow.add(j + V::LANES)),
-                        acc1,
-                    );
-                    acc2 = V::mul_add(
-                        V::loadu(grow.add(j + 2 * V::LANES)),
-                        V::loadu(brow.add(j + 2 * V::LANES)),
-                        acc2,
-                    );
-                    acc3 = V::mul_add(
-                        V::loadu(grow.add(j + 3 * V::LANES)),
-                        V::loadu(brow.add(j + 3 * V::LANES)),
-                        acc3,
-                    );
-                    j += 4 * V::LANES;
-                }
-                while j + V::LANES <= n {
-                    acc0 = V::mul_add(V::loadu(grow.add(j)), V::loadu(brow.add(j)), acc0);
-                    j += V::LANES;
-                }
-                let mut s = V::reduce_add(V::add(V::add(acc0, acc1), V::add(acc2, acc3)));
-                while j < n {
-                    s = (*grow.add(j)).mul_add(*brow.add(j), s);
-                    j += 1;
-                }
-                *o = s;
-            }
         }
     }
 
@@ -1180,66 +967,28 @@ mod x86 {
     // by dispatching through `SimdLevel::Avx2`, which only
     // `detected_level()` can produce).
 
-    pub(super) fn nn_sse2(
-        relaxed: bool,
-        out: &mut [f32],
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        n: usize,
-    ) {
+    pub(super) fn nn_sse2(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
         debug_assert!(a.len() >= (out.len() / n) * k && b.len() >= k * n);
         // SAFETY: baseline ISA; bounds per the dimension asserts of the
         // public callers (see mm_block_v safety notes).
-        unsafe {
-            if relaxed {
-                mm_block_v::<Sse2, true>(out, n, k, a.as_ptr(), 1, k, b.as_ptr());
-            } else {
-                mm_block_v::<Sse2, false>(out, n, k, a.as_ptr(), 1, k, b.as_ptr());
-            }
-        }
+        unsafe { mm_block_v::<Sse2>(out, n, k, a.as_ptr(), 1, k, b.as_ptr()) }
     }
 
     /// # Safety
     ///
     /// Requires runtime-detected `avx2` and `fma`.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn nn_avx2(
-        relaxed: bool,
-        out: &mut [f32],
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        n: usize,
-    ) {
+    pub(super) unsafe fn nn_avx2(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
         debug_assert!(a.len() >= (out.len() / n) * k && b.len() >= k * n);
-        if relaxed {
-            mm_block_v::<Avx2, true>(out, n, k, a.as_ptr(), 1, k, b.as_ptr());
-        } else {
-            mm_block_v::<Avx2, false>(out, n, k, a.as_ptr(), 1, k, b.as_ptr());
-        }
+        mm_block_v::<Avx2>(out, n, k, a.as_ptr(), 1, k, b.as_ptr());
     }
 
-    pub(super) fn tn_sse2(
-        relaxed: bool,
-        out: &mut [f32],
-        a: &[f32],
-        g: &[f32],
-        p_off: usize,
-        m: usize,
-        n: usize,
-    ) {
+    pub(super) fn tn_sse2(out: &mut [f32], a: &[f32], g: &[f32], p_off: usize, m: usize, n: usize) {
         let k = a.len() / m.max(1);
         debug_assert!(g.len() >= m * n && a.len() >= m * k);
         // SAFETY: baseline ISA; mult reads hit a[t·k + p_off + r],
         // r < out.len()/n ≤ k − p_off, t < m — inside `a`.
-        unsafe {
-            if relaxed {
-                mm_block_v::<Sse2, true>(out, n, m, a.as_ptr().add(p_off), k, 1, g.as_ptr());
-            } else {
-                mm_block_v::<Sse2, false>(out, n, m, a.as_ptr().add(p_off), k, 1, g.as_ptr());
-            }
-        }
+        unsafe { mm_block_v::<Sse2>(out, n, m, a.as_ptr().add(p_off), k, 1, g.as_ptr()) }
     }
 
     /// # Safety
@@ -1247,7 +996,6 @@ mod x86 {
     /// Requires runtime-detected `avx2` and `fma`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn tn_avx2(
-        relaxed: bool,
         out: &mut [f32],
         a: &[f32],
         g: &[f32],
@@ -1257,23 +1005,7 @@ mod x86 {
     ) {
         let k = a.len() / m.max(1);
         debug_assert!(g.len() >= m * n && a.len() >= m * k);
-        if relaxed {
-            mm_block_v::<Avx2, true>(out, n, m, a.as_ptr().add(p_off), k, 1, g.as_ptr());
-        } else {
-            mm_block_v::<Avx2, false>(out, n, m, a.as_ptr().add(p_off), k, 1, g.as_ptr());
-        }
-    }
-
-    pub(super) fn nt_sse2(
-        out: &mut [f32],
-        g: &[f32],
-        b: &[f32],
-        n: usize,
-        kk: usize,
-        pack: &mut Vec<f32>,
-    ) {
-        // SAFETY: baseline ISA; bounds per nt_packed_v's safety notes.
-        unsafe { nt_packed_v::<Sse2>(out, g, b, n, kk, pack) }
+        mm_block_v::<Avx2>(out, n, m, a.as_ptr().add(p_off), k, 1, g.as_ptr());
     }
 
     /// # Safety
@@ -1289,19 +1021,6 @@ mod x86 {
         pack: &mut Vec<f32>,
     ) {
         nt_packed_v::<Avx2>(out, g, b, n, kk, pack);
-    }
-
-    pub(super) fn nt_dot_sse2(out: &mut [f32], g: &[f32], b: &[f32], n: usize, kk: usize) {
-        // SAFETY: baseline ISA; bounds per nt_dot_v's safety notes.
-        unsafe { nt_dot_v::<Sse2>(out, g, b, n, kk) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires runtime-detected `avx2` and `fma`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn nt_dot_avx2(out: &mut [f32], g: &[f32], b: &[f32], n: usize, kk: usize) {
-        nt_dot_v::<Avx2>(out, g, b, n, kk);
     }
 
     pub(super) fn corr3_sse2(g: &Corr3, src: &[f32], wts: &[f32], dst: &mut [f32]) {
@@ -1392,14 +1111,6 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_defaults_off() {
-        assert!(
-            !relaxed_kernels(),
-            "relaxed kernels must be explicit opt-in"
-        );
-    }
-
-    #[test]
     fn cpu_features_match_detection() {
         let f = cpu_features();
         if detected_level() == SimdLevel::Avx2 {
@@ -1432,19 +1143,10 @@ mod tests {
             let a = vals(m * k, 21);
             let b = vals(k * n, 22);
             let mut base = vec![0.0f32; m * n];
-            gemm_nn_at(
-                SimdLevel::Scalar,
-                KernelMode::Strict,
-                &mut base,
-                &a,
-                &b,
-                m,
-                k,
-                n,
-            );
+            gemm_nn_at(SimdLevel::Scalar, &mut base, &a, &b, m, k, n);
             for level in supported() {
                 let mut out = vec![0.0f32; m * n];
-                gemm_nn_at(level, KernelMode::Strict, &mut out, &a, &b, m, k, n);
+                gemm_nn_at(level, &mut out, &a, &b, m, k, n);
                 assert!(
                     out.iter()
                         .zip(&base)
@@ -1456,17 +1158,8 @@ mod tests {
                 let bt = vals(k * n, 24);
                 let mut nt_base = vec![0.0f32; m * k];
                 let mut nt_out = vec![0.0f32; m * k];
-                gemm_nt_at(
-                    SimdLevel::Scalar,
-                    KernelMode::Strict,
-                    &mut nt_base,
-                    &g,
-                    &bt,
-                    m,
-                    n,
-                    k,
-                );
-                gemm_nt_at(level, KernelMode::Strict, &mut nt_out, &g, &bt, m, n, k);
+                gemm_nt_at(SimdLevel::Scalar, &mut nt_base, &g, &bt, m, n, k);
+                gemm_nt_at(level, &mut nt_out, &g, &bt, m, n, k);
                 assert!(
                     nt_out
                         .iter()
@@ -1476,17 +1169,8 @@ mod tests {
                 );
                 let mut tn_base = vec![0.0f32; k * n];
                 let mut tn_out = vec![0.0f32; k * n];
-                gemm_tn_at(
-                    SimdLevel::Scalar,
-                    KernelMode::Strict,
-                    &mut tn_base,
-                    &a,
-                    &g,
-                    m,
-                    k,
-                    n,
-                );
-                gemm_tn_at(level, KernelMode::Strict, &mut tn_out, &a, &g, m, k, n);
+                gemm_tn_at(SimdLevel::Scalar, &mut tn_base, &a, &g, m, k, n);
+                gemm_tn_at(level, &mut tn_out, &a, &g, m, k, n);
                 assert!(
                     tn_out
                         .iter()
@@ -1494,41 +1178,6 @@ mod tests {
                         .all(|(x, y)| x.to_bits() == y.to_bits()),
                     "tn {level:?} ({m},{k},{n})"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn relaxed_is_close_to_strict() {
-        let (m, k, n) = (5, 300, 17);
-        let a = vals(m * k, 41);
-        let b = vals(k * n, 42);
-        for level in supported() {
-            let mut strict = vec![0.0f32; m * n];
-            let mut relaxed = vec![0.0f32; m * n];
-            gemm_nn_at(level, KernelMode::Strict, &mut strict, &a, &b, m, k, n);
-            gemm_nn_at(level, KernelMode::Relaxed, &mut relaxed, &a, &b, m, k, n);
-            for (i, (x, y)) in strict.iter().zip(&relaxed).enumerate() {
-                let tol = 1e-3 * (1.0 + x.abs());
-                assert!((x - y).abs() <= tol, "{level:?} nn[{i}]: {x} vs {y}");
-            }
-            let g = vals(m * n, 43);
-            let mut s2 = vec![0.0f32; m * k];
-            let mut r2 = vec![0.0f32; m * k];
-            gemm_nt_at(level, KernelMode::Strict, &mut s2, &g, &b[..k * n], m, n, k);
-            gemm_nt_at(
-                level,
-                KernelMode::Relaxed,
-                &mut r2,
-                &g,
-                &b[..k * n],
-                m,
-                n,
-                k,
-            );
-            for (i, (x, y)) in s2.iter().zip(&r2).enumerate() {
-                let tol = 1e-3 * (1.0 + x.abs());
-                assert!((x - y).abs() <= tol, "{level:?} nt[{i}]: {x} vs {y}");
             }
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! Every hot path in the workspace that previously spawned fresh
 //! `std::thread::scope` threads per call (GEMM row blocks, data-parallel
-//! gradient accumulation, batched evaluation, campaign grids) dispatches
-//! onto one set of long-lived workers instead. The pool's contract is
+//! gradient accumulation, campaign grids) dispatches onto one set of
+//! long-lived workers instead. The pool's contract is
 //! the determinism contract of DESIGN.md Contract 9:
 //!
 //! * **Static assignment** ([`WorkerPool::run`], [`WorkerPool::scatter`]):
@@ -36,10 +36,6 @@
 //! of DESIGN.md Contract 13.
 
 #![deny(missing_docs)]
-
-mod slots;
-
-pub use slots::WorkerSlots;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -173,11 +169,9 @@ impl WorkerPool {
 
     /// The current thread's worker index, when it is a pool worker.
     ///
-    /// Indices are 0-based and stable for the thread's lifetime, which
-    /// makes them usable as slots into worker-indexed storage (see
-    /// [`WorkerSlots`]): under static assignment, task `t` always sees
-    /// the same index `t % threads`, so per-worker resident state stays
-    /// warm across dispatches. Non-worker threads (including the
+    /// Indices are 0-based and stable for the thread's lifetime: under
+    /// static assignment, task `t` always sees the same index
+    /// `t % threads`. Non-worker threads (including the
     /// dispatcher, and every thread of a 1-thread pool, which runs
     /// inline) return `None`.
     pub fn current_worker() -> Option<usize> {

@@ -1,16 +1,21 @@
 //! Cost evaluators: the black-box function `f` of Algorithm 1, with
-//! caching, simulation accounting, and parallel batch evaluation.
+//! caching and simulation accounting.
+//!
+//! [`CachedEvaluator`] is safe to share between threads. Its cache is
+//! lock-striped, and each key is claimed by the first thread that misses
+//! on it: racers for the same design wait on that claim instead of
+//! simulating it again, so every design is counted once. Cache misses run
+//! on incremental [`EvalSession`]s kept in one stack, which prefers the
+//! session already holding a delta-evaluation hint's netlist.
 
 use crate::cost::{CostParams, PpaReport};
 use crate::flow::SynthesisFlow;
 use crate::pareto::SharedArchive;
 use crate::session::EvalSession;
-use cv_pool::{WorkerPool, WorkerSlots};
 use cv_prefix::PrefixGrid;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -154,16 +159,16 @@ type Slot = Arc<Mutex<Option<EvalRecord>>>;
 /// One lock stripe of the sharded cache.
 type Shard = Mutex<HashMap<PrefixGrid, Slot>>;
 
-/// Number of lock stripes. A power of two comfortably above any worker
-/// count we dispatch (the pool clamps at 256 threads but batch chunks
-/// rarely exceed 16): with uniformly hashed keys, the probability that
-/// two concurrent publishes collide on a stripe stays low, and a stripe
-/// lock is held only for a `HashMap` probe — never across a synthesis.
+/// Number of lock stripes. A power of two comfortably above the number
+/// of threads that share one evaluator: with uniformly hashed keys, the
+/// probability that two concurrent claims collide on a stripe stays low,
+/// and a stripe lock is held only for a `HashMap` probe — never across a
+/// synthesis.
 const CACHE_SHARDS: usize = 16;
 
 /// A lock-striped `PrefixGrid → Slot` map: the evaluator's cache,
-/// sharded so concurrent cache probes and publishes from different
-/// workers stop serializing on one global mutex. Claim slots (the
+/// sharded so concurrent cache probes and claims from different threads
+/// stop serializing on one global mutex. Claim slots (the
 /// in-flight `None` state of a [`Slot`]) live inside their shard, so
 /// the per-key claim discipline is unchanged — only the lock that
 /// guards the *map* is split.
@@ -190,11 +195,6 @@ impl ShardedCache {
         &self.shards[(h.finish() as usize) & (CACHE_SHARDS - 1)]
     }
 
-    /// Whether `key` is cached or claimed, with a brief stripe lock.
-    fn contains(&self, key: &PrefixGrid) -> bool {
-        self.shard(key).lock().contains_key(key)
-    }
-
     /// Total entries (cached + claimed) across all stripes.
     fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
@@ -218,13 +218,11 @@ pub struct CachedEvaluator {
     // never double-count a simulation.
     cache: ShardedCache,
     counter: SimCounter,
-    // Incremental evaluation sessions, one resident per pool worker
-    // (created on demand): delta-evaluation state warms up per worker
-    // instead of bouncing through a shared lock, and a sequential
-    // searcher keeps hitting the same resident spill session. Sessions
-    // are bit-for-bit equal to `Objective::evaluate`, which is what
-    // keeps the cache coherent.
-    sessions: WorkerSlots<EvalSession>,
+    // Idle incremental evaluation sessions (created on demand, at most
+    // one per concurrent caller). A sequential searcher keeps reusing the
+    // same resident session. Sessions are bit-for-bit equal to
+    // `Objective::evaluate`, which is what keeps the cache coherent.
+    sessions: Mutex<Vec<EvalSession>>,
     incremental: bool,
     // Optional frontier observer: every *counted* simulation offers its
     // (grid, PPA) to the attached archive. Observation-only — see the
@@ -269,10 +267,7 @@ impl CachedEvaluator {
             objective,
             cache: ShardedCache::new(),
             counter: SimCounter::new(),
-            // Enough dedicated slots for the global pool; custom pools
-            // (benches, tests) stay resident up to 16 workers and spill
-            // beyond. Capacity only affects perf, never results.
-            sessions: WorkerSlots::new(WorkerPool::global().threads().max(16)),
+            sessions: Mutex::new(Vec::new()),
             incremental,
             archive: Mutex::new(None),
         }
@@ -306,26 +301,34 @@ impl CachedEvaluator {
         self.incremental
     }
 
-    /// Runs one physical simulation of `key` (already legalized) on the
-    /// current thread's resident session: a pool worker uses its own
-    /// slot, a sequential caller the spill stack (preferring a spilled
-    /// session whose resident state matches `prev`).
+    /// Runs one physical simulation of `key` (already legalized) on an
+    /// idle session: one whose resident state matches `prev` if there is
+    /// one, else the most recently used, else a fresh one.
     fn simulate(&self, key: &PrefixGrid, prev: Option<&PrefixGrid>) -> EvalRecord {
         if !self.incremental {
             return self.objective.evaluate(key);
         }
-        let mut session = self
-            .sessions
-            .checkout_where(|s| prev.is_some() && s.last_grid() == prev)
-            .unwrap_or_else(|| EvalSession::from_objective(&self.objective));
-        // If evaluation panics the checked-out session is simply dropped
-        // (a fresh one is created on demand later), so no slot ever holds
-        // a session in a half-mutated state.
+        let idle = {
+            let mut stack = self.sessions.lock();
+            match stack
+                .iter()
+                .position(|s| prev.is_some() && s.last_grid() == prev)
+            {
+                // `remove`, not `swap_remove`: the stack stays ordered
+                // (most recently used last) for the next miss.
+                Some(i) => Some(stack.remove(i)),
+                None => stack.pop(),
+            }
+        };
+        let mut session = idle.unwrap_or_else(|| EvalSession::from_objective(&self.objective));
+        // If evaluation panics the session is simply dropped (a fresh one
+        // is created on demand later), so the stack never holds a session
+        // in a half-mutated state.
         let rec = match prev {
             Some(p) => session.evaluate_delta(p, key),
             None => session.evaluate(key),
         };
-        self.sessions.checkin(session);
+        self.sessions.lock().push(session);
         rec
     }
 
@@ -397,8 +400,8 @@ impl CachedEvaluator {
             let rec = self.simulate(key, prev);
             unclaim.armed = false;
             // The post-add count is taken atomically with the add so
-            // parallel batch evaluations stamp distinct, gap-free
-            // simulation counts into the archive.
+            // concurrent evaluations stamp distinct, gap-free simulation
+            // counts into the archive.
             let sims = self.counter.add_and_count(1);
             if let Some(archive) = self.archive.lock().clone() {
                 archive.lock().insert(key.clone(), rec.ppa, sims);
@@ -465,122 +468,6 @@ impl CachedEvaluator {
         }
         self.counter.set(state.sims);
     }
-
-    /// Publishes a result simulated outside the cache claim discipline
-    /// (the parallel batch path): claims the key and stamps the counter
-    /// exactly like a sequential cache miss. Returns the `(ppa, sims)`
-    /// archive offer when this call published (the caller replays offers
-    /// in first-occurrence order under one archive lock), and `None`
-    /// when a racing evaluation got there first — its owner already
-    /// counted and offered it.
-    fn publish_slot(&self, key: &PrefixGrid, rec: EvalRecord) -> Option<(PpaReport, usize)> {
-        let shard = self.cache.shard(key);
-        loop {
-            let mut map = shard.lock();
-            if let Some(slot) = map.get(key).cloned() {
-                drop(map);
-                if slot.lock().is_some() {
-                    return None;
-                }
-                // The claiming owner unwound; retry and claim ourselves.
-                continue;
-            }
-            let slot = Arc::new(Mutex::new(None));
-            map.insert(key.clone(), Arc::clone(&slot));
-            let mut guard = slot.lock();
-            drop(map);
-            let sims = self.counter.add_and_count(1);
-            *guard = Some(rec);
-            return Some((rec.ppa, sims));
-        }
-    }
-
-    /// Evaluates a batch across the shared worker pool. See
-    /// [`CachedEvaluator::evaluate_batch_on`].
-    pub fn evaluate_batch(&self, grids: &[PrefixGrid], threads: usize) -> Vec<EvalRecord> {
-        self.evaluate_batch_on(WorkerPool::global(), grids, threads)
-    }
-
-    /// Evaluates a batch across `pool` (at most `threads` result
-    /// chunks). Results align with the input order.
-    ///
-    /// **Deterministically equal to the sequential path**: unique
-    /// uncached designs are simulated in parallel into per-chunk result
-    /// slots (lock-free disjoint writes, one resident session per
-    /// worker), then *published* — counted and inserted into the cache
-    /// sequentially in first-occurrence order, with the archive offers
-    /// replayed in that same order under a single archive lock. Batch
-    /// output order, the final simulation count, and every archive
-    /// observation stamp are therefore bit-identical to
-    /// `grids.iter().map(|g| evaluate(g))`, at every thread count and
-    /// pool size.
-    pub fn evaluate_batch_on(
-        &self,
-        pool: &WorkerPool,
-        grids: &[PrefixGrid],
-        threads: usize,
-    ) -> Vec<EvalRecord> {
-        if grids.is_empty() {
-            return Vec::new();
-        }
-        let threads = threads.clamp(1, grids.len());
-        // Legalize lazily: already-legal grids are borrowed, not cloned.
-        let keys: Vec<Cow<'_, PrefixGrid>> = grids
-            .iter()
-            .map(|g| {
-                if g.is_legal() {
-                    Cow::Borrowed(g)
-                } else {
-                    Cow::Owned(g.legalized())
-                }
-            })
-            .collect();
-        // Unique keys in first-occurrence order (the order the
-        // sequential path would count them in), deduplicated by
-        // reference — no clones, no cache lock. Only the pending misses
-        // are then cloned, outside any stripe lock (`contains` takes its
-        // stripe lock per probe, for just the probe).
-        let mut seen: HashSet<&PrefixGrid> = HashSet::with_capacity(keys.len());
-        let pending: Vec<PrefixGrid> = keys
-            .iter()
-            .map(Cow::as_ref)
-            .filter(|k| seen.insert(*k) && !self.cache.contains(k))
-            .cloned()
-            .collect();
-        let mut results: Vec<Option<EvalRecord>> = vec![None; pending.len()];
-        if threads > 1 && pending.len() > 1 {
-            let chunk = pending.len().div_ceil(threads);
-            pool.scatter(&mut results, chunk, |c, out| {
-                for (slot, key) in out.iter_mut().zip(&pending[c * chunk..]) {
-                    *slot = Some(self.simulate(key, None));
-                }
-            });
-        } else {
-            for (slot, key) in results.iter_mut().zip(&pending) {
-                *slot = Some(self.simulate(key, None));
-            }
-        }
-        // Publish phase, sequential in first-occurrence order. Archive
-        // offers are accumulated and replayed in that same order under
-        // one archive lock, so the publish loop itself never serializes
-        // on the archive (Contract 7 holds: same offers, same order,
-        // same stamps as the sequential path).
-        let archive = self.archive.lock().clone();
-        let mut offers: Vec<(PrefixGrid, PpaReport, usize)> = Vec::new();
-        for (key, rec) in pending.iter().zip(results) {
-            if let Some((ppa, sims)) = self.publish_slot(key, rec.expect("chunk simulated")) {
-                if archive.is_some() {
-                    offers.push((key.clone(), ppa, sims));
-                }
-            }
-        }
-        if let Some(archive) = archive {
-            archive.lock().insert_all(offers);
-        }
-        // Every key is now cached (or claimed by a racing evaluation):
-        // plain lookups, no further counting.
-        keys.iter().map(|k| self.evaluate_key(k, None)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -616,20 +503,6 @@ mod tests {
         let b = ev.evaluate(&g.legalized());
         assert_eq!(a, b);
         assert_eq!(ev.counter().count(), 1);
-    }
-
-    #[test]
-    fn batch_matches_serial_and_counts_unique() {
-        let ev = evaluator(12, 0.5);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut grids: Vec<PrefixGrid> = (0..10)
-            .map(|_| mutate::random_grid(12, 0.25, &mut rng))
-            .collect();
-        grids.push(grids[0].clone()); // duplicate
-        let parallel = ev.evaluate_batch(&grids, 4);
-        let serial: Vec<EvalRecord> = grids.iter().map(|g| ev.evaluate(g)).collect();
-        assert_eq!(parallel, serial);
-        assert!(ev.counter().count() <= 10, "duplicate must not re-simulate");
     }
 
     #[test]
@@ -682,73 +555,23 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_is_fine() {
-        let ev = evaluator(8, 0.5);
-        assert!(ev.evaluate_batch(&[], 4).is_empty());
-        assert!(ev.evaluate_batch(&[], 0).is_empty());
-    }
-
-    #[test]
-    fn batch_degenerate_thread_counts_do_not_panic_and_stay_order_stable() {
-        // Regression: `threads: 0` must fall back to serial and
-        // `threads > grids.len()` must clamp — neither may panic, and
-        // both must return results aligned with the input order,
-        // identical to the serial path.
-        let mut rng = StdRng::seed_from_u64(11);
-        let grids: Vec<PrefixGrid> = (0..5)
-            .map(|_| mutate::random_grid(10, 0.3, &mut rng))
-            .collect();
-        let serial_ev = evaluator(10, 0.5);
-        let serial: Vec<EvalRecord> = grids.iter().map(|g| serial_ev.evaluate(g)).collect();
-        for threads in [0, 1, grids.len() + 1, 64] {
-            let ev = evaluator(10, 0.5);
-            let batch = ev.evaluate_batch(&grids, threads);
-            assert_eq!(batch, serial, "threads={threads} must match serial order");
-            assert_eq!(ev.counter().count(), serial_ev.counter().count());
+    fn a_sequential_caller_reuses_one_resident_session() {
+        let ev = evaluator(12, 0.5);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut grid = topologies::sklansky(12);
+        let _ = ev.evaluate(&grid);
+        for _ in 0..6 {
+            let next = mutate::neighbour(&grid, &mut rng);
+            let _ = ev.evaluate_from(&grid, &next);
+            grid = next;
         }
-    }
-
-    #[test]
-    fn batch_order_and_stamps_match_the_sequential_path() {
-        // Regression for the batch determinism contract: the parallel
-        // batch path must reproduce the sequential path exactly —
-        // result order, the final simulation count, and every archive
-        // observation stamp (simulation indices per design) — at every
-        // thread count. Duplicates inside the batch must be counted
-        // once, at their first occurrence.
-        use crate::pareto::ParetoArchive;
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut grids: Vec<PrefixGrid> = (0..9)
-            .map(|_| mutate::random_grid(10, 0.3, &mut rng))
-            .collect();
-        grids.push(grids[2].clone());
-        grids.push(grids[0].clone());
-        let seq = evaluator(10, 0.5);
-        let seq_arch = ParetoArchive::new().with_log().into_shared();
-        seq.attach_archive(seq_arch.clone());
-        let seq_records: Vec<EvalRecord> = grids.iter().map(|g| seq.evaluate(g)).collect();
-        for threads in [1, 2, 3, grids.len(), 64] {
-            let ev = evaluator(10, 0.5);
-            let arch = ParetoArchive::new().with_log().into_shared();
-            ev.attach_archive(arch.clone());
-            let batch = ev.evaluate_batch(&grids, threads);
-            assert_eq!(batch, seq_records, "threads={threads}: batch output order");
-            assert_eq!(
-                ev.counter().count(),
-                seq.counter().count(),
-                "threads={threads}: simulation count"
-            );
-            assert_eq!(
-                arch.lock().observations(),
-                seq_arch.lock().observations(),
-                "threads={threads}: observation stamps"
-            );
-            assert_eq!(
-                arch.lock().to_ckpt_bytes(),
-                seq_arch.lock().to_ckpt_bytes(),
-                "threads={threads}: archive bytes"
-            );
-        }
+        assert_eq!(ev.sessions.lock().len(), 1, "one caller, one session");
+        let reference = CachedEvaluator::new_reference(ev.objective().clone());
+        let _ = reference.evaluate(&grid);
+        assert!(
+            reference.sessions.lock().is_empty(),
+            "no sessions off the fast path"
+        );
     }
 
     #[test]

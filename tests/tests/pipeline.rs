@@ -4,9 +4,11 @@
 
 use cv_cells::nangate45_like;
 use cv_prefix::{mutate, topologies, CircuitKind, PrefixGrid};
-use cv_synth::{CachedEvaluator, CostParams, Objective, SynthesisFlow};
+use cv_synth::{CachedEvaluator, CostParams, EvalRecord, Objective, ParetoArchive, SynthesisFlow};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
+use std::sync::Barrier;
 
 fn evaluator(width: usize, kind: CircuitKind, w: f64) -> CachedEvaluator {
     let flow = SynthesisFlow::new(nangate45_like(), kind, width);
@@ -70,16 +72,68 @@ fn gray_to_binary_objective_differs_from_adder() {
     assert!(g2b.cost < adder.cost);
 }
 
+/// Several threads share one evaluator and query overlapping designs,
+/// including illegal grids whose legalized twins other threads query
+/// directly. The claim-slot cache must give every thread the serial
+/// evaluator's records, simulate each legalized design exactly once, and
+/// offer each counted simulation to the attached archive exactly once.
 #[test]
-fn parallel_batch_evaluation_matches_serial() {
-    let ev = evaluator(14, CircuitKind::Adder, 0.66);
+fn concurrent_evaluation_matches_serial_and_counts_each_design_once() {
+    let width = 24;
     let mut rng = StdRng::seed_from_u64(4);
-    let grids: Vec<PrefixGrid> = (0..12)
-        .map(|_| mutate::random_grid(14, rng.gen_range(0.05..0.5), &mut rng))
+    let mut designs: Vec<PrefixGrid> = Vec::new();
+    for _ in 0..12 {
+        let g = mutate::random_grid(width, rng.gen_range(0.05..0.5), &mut rng);
+        let mut twin = g.clone();
+        mutate::toggle_random_cells(&mut twin, 3, &mut rng);
+        designs.push(g);
+        if !twin.is_legal() {
+            designs.push(twin.legalized());
+            designs.push(twin);
+        }
+    }
+    let illegal = designs.iter().filter(|g| !g.is_legal()).count();
+    assert!(illegal >= 3, "only {illegal} illegal twins");
+    let unique: HashSet<PrefixGrid> = designs.iter().map(PrefixGrid::legalized).collect();
+
+    let serial = evaluator(width, CircuitKind::Adder, 0.66);
+    let expected: Vec<EvalRecord> = designs.iter().map(|g| serial.evaluate(g)).collect();
+
+    let shared = evaluator(width, CircuitKind::Adder, 0.66);
+    let archive = ParetoArchive::new().with_log().into_shared();
+    shared.attach_archive(archive.clone());
+    let threads = 4;
+    let start = Barrier::new(threads);
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let (shared, designs, expected, start) = (&shared, &designs, &expected, &start);
+            s.spawn(move || {
+                // All threads walk the designs in the same order and
+                // are released at once, so every key is first wanted by
+                // several threads together.
+                start.wait();
+                for (i, g) in designs.iter().enumerate() {
+                    assert_eq!(shared.evaluate(g), expected[i], "thread {t}, design {i}");
+                }
+            });
+        }
+    });
+
+    assert_eq!(shared.counter().count(), unique.len());
+    assert_eq!(serial.counter().count(), unique.len());
+    assert_eq!(shared.unique_designs(), unique.len());
+    let mut stamps: Vec<usize> = archive
+        .lock()
+        .observations()
+        .iter()
+        .map(|o| o.sims)
         .collect();
-    let par = ev.evaluate_batch(&grids, 4);
-    let ser: Vec<_> = grids.iter().map(|g| ev.evaluate(g)).collect();
-    assert_eq!(par, ser);
+    stamps.sort_unstable();
+    assert_eq!(
+        stamps,
+        (1..=unique.len()).collect::<Vec<_>>(),
+        "one archive offer per counted simulation, with distinct stamps"
+    );
 }
 
 #[test]
